@@ -16,6 +16,7 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest perfbench -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -49,7 +50,8 @@ lint:
 # (REP5xx) only — fixtures may freely use bare randomness, wall clocks
 # and lat/lon argument orders that the source tree bans.
 lint-tests:
-	$(PYTHON) -m repro.cli lint tests benchmarks --select REP5 --no-baseline
+	$(PYTHON) -m repro.cli lint tests benchmarks perfbench --select REP5 \
+		--no-baseline
 
 # The CI perf + data + resource gate, runnable locally: instrumented
 # smoke run (with a flame profile), funnel conservation check,

@@ -278,8 +278,7 @@ class LineageDropCounterRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.module.startswith("repro."):
             return
-        # The side-car itself is exempt: record_stage's legacy-counter
-        # emission is the one sanctioned "dropped" counter writer.
+        # The side-car itself is exempt: it implements the funnel.
         if ctx.module == "repro.obs" or ctx.module.startswith("repro.obs."):
             return
         for node in ast.walk(ctx.tree):
@@ -299,6 +298,5 @@ class LineageDropCounterRule(Rule):
                 node,
                 f"counter {name!r} records drops outside the lineage "
                 "funnel; call repro.obs.lineage.record_stage(...) with "
-                "a DropReason instead (it can keep emitting the legacy "
-                "counter via legacy_counters=...)",
+                "a DropReason instead",
             )

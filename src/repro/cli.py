@@ -75,10 +75,9 @@ Execution-engine flags (see ``docs/PERFORMANCE.md``):
     with unchanged inputs serves footprints from disk (watch the
     ``exec.cache.*`` counters in ``--metrics-out`` reports).
 ``--chunk-size N``
-    Stream the conditioning pipeline in N-peer chunks instead of one
-    whole-sample pass (see ``docs/DATA_MODEL.md``).  Output is
-    bit-identical; per-stage memory is bounded by the chunk, and the
-    run gains ``pipeline.stream.*`` gauges.
+    Stream the conditioning pipeline in N-peer chunks (default 262144;
+    see ``docs/DATA_MODEL.md``).  Output is the same at every chunk
+    size; per-stage memory is bounded by the chunk.
 """
 
 from __future__ import annotations
@@ -102,6 +101,7 @@ from .analysis import (
     render_text,
     select_rules,
 )
+from .crawl.chunks import DEFAULT_CHUNK_SIZE
 from .exec import MAX_WORKERS, ParallelConfig
 from .experiments.figure1 import run_figure1
 from .experiments.figure2 import run_figure2
@@ -918,8 +918,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="stream the conditioning pipeline in N-peer chunks "
-             "(bit-identical output, bounded per-stage memory; see "
-             "docs/DATA_MODEL.md; default: whole-sample serial path)",
+             "(bit-identical output at every N, bounded per-stage "
+             "memory; see docs/DATA_MODEL.md; default: "
+             f"{DEFAULT_CHUNK_SIZE})",
     )
     parser.add_argument(
         "--preset",

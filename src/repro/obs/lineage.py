@@ -15,10 +15,7 @@ time (a merge bug in parallel runs must not survive serialisation).
 
 Drop reasons are a **closed enum** (:class:`DropReason`): reprolint's
 REP403 flags any raw ``obs.count("*dropped*")`` call site outside
-``repro.obs``, so new drop accounting cannot bypass the funnel.  The
-``legacy_counters`` escape hatch keeps the pre-lineage counter names
-(``pipeline.peers_dropped_geo_error`` etc.) emitted for one release so
-existing dashboards keep working while they migrate.
+``repro.obs``, so new drop accounting cannot bypass the funnel.
 
 Like spans, stages aggregate: recording ``pipeline.mapping`` once per
 chunk (or merging worker snapshots) adds records and drops into one
@@ -169,16 +166,12 @@ def record_stage(
     records_in: int,
     records_out: int,
     drops: Optional[Mapping[ReasonLike, int]] = None,
-    legacy_counters: Optional[Mapping[ReasonLike, str]] = None,
 ) -> None:
     """Record one funnel observation on the active registry.
 
     This is *the* lineage API (reprolint REP403 points raw drop-counter
     call sites here): a no-op under the null registry, conservation-
-    checked otherwise.  ``legacy_counters`` maps a drop reason to the
-    pre-lineage counter name still emitted alongside the stage (one
-    release of backward compatibility for dashboards keyed on e.g.
-    ``pipeline.peers_dropped_geo_error``).
+    checked otherwise.
     """
     from .telemetry import get_telemetry  # deferred: telemetry imports us
 
@@ -192,15 +185,6 @@ def record_stage(
         records_out=records_out,
         drops=drops,
     )
-    if legacy_counters:
-        normalised = {
-            _reason_key(reason): int(count)
-            for reason, count in (drops or {}).items()
-        }
-        for reason, counter_name in legacy_counters.items():
-            telemetry.count(
-                counter_name, normalised.get(_reason_key(reason), 0)
-            )
 
 
 def render_funnel(stages: Any, indent: str = "") -> str:

@@ -19,7 +19,7 @@ Typical usage::
 
     with obs.span("kde.evaluate"):
         ...                       # timed when telemetry is enabled
-    obs.count("pipeline.peers_dropped_geo_error", dropped)
+    obs.count("pipeline.peers_mapped", mapped)
 
     with obs.capture() as telemetry:   # enable for a block of work
         run_pipeline()

@@ -1,9 +1,14 @@
 """Section 2 data-preparation pipeline: map, filter, group, classify.
 
-Two interchangeable drivers share the stage implementations: the serial
-object path (:func:`build_target_dataset`) and the chunk-streamed
-columnar path (:mod:`repro.pipeline.stream`).  The columnar schema and
-the adapter rules between them are specified in ``docs/DATA_MODEL.md``.
+:func:`build_target_dataset` is the one exact driver: it streams the
+crawl sample through the columnar stage transforms
+(:mod:`repro.pipeline.batch`) in ``PipelineConfig.chunk_size`` chunks,
+and :func:`stream_target_dataset` is another name for it.
+:func:`stream_summary` is the bounded-memory mode that keeps per-AS
+aggregates only.  The whole-sample stage functions (:func:`map_peers`,
+:func:`filter_geo_error`, :func:`group_by_as`, ...) remain for callers
+that hold a sample's columns themselves.  The columnar schema and the
+adapter rules are specified in ``docs/DATA_MODEL.md``.
 """
 
 from .batch import (

@@ -2,9 +2,8 @@
 
 One :class:`PeerBatch` holds a *chunk* of peers as a NumPy structured
 array (:data:`PEER_DTYPE`) instead of per-peer Python objects, and each
-Section 2 stage is a vectorised batch→batch transform that records the
-same lineage funnel stages, drop reasons and legacy counters as the
-historical object path.  The full schema contract — field widths,
+Section 2 stage is a vectorised batch→batch transform that records its
+lineage funnel stage and drop reason.  The full schema contract — field widths,
 units, sentinel values, precision budget and the adapter rules back to
 :class:`~repro.pipeline.mapping.MappedPeers` — lives in
 ``docs/DATA_MODEL.md``; change either together.
@@ -14,9 +13,9 @@ interned once per geo-database *block* into a :class:`RegionVocab`,
 and each peer row carries only its block row (``block``), so a chunk's
 memory cost is a flat ~44 bytes/peer regardless of name lengths.
 
-The transforms here are single-chunk; the chunked driver that streams
-many batches and merges per-AS aggregates is
-:mod:`repro.pipeline.stream`.
+The transforms here are single-chunk; the drivers that stream many
+batches are :func:`repro.pipeline.dataset.build_target_dataset` and
+the per-AS aggregating :func:`repro.pipeline.stream.stream_summary`.
 """
 
 from __future__ import annotations
@@ -254,8 +253,8 @@ def map_batch(
     records in *both* (the paper's elimination rule), fills the
     coordinate/error columns and attaches the decode context.  Returns
     ``(mapped_batch, dropped)`` and records the ``pipeline.mapping``
-    funnel stage plus its legacy counters, per chunk (stages aggregate
-    by name, so chunked totals equal the serial run's).
+    funnel stage, per chunk (stages aggregate by name, so the totals do
+    not depend on the chunk size).
     """
     n = len(batch)
     ips = batch.data["ip"]
@@ -295,10 +294,6 @@ def map_batch(
         records_in=n,
         records_out=len(mapped),
         drops={DropReason.MISSING_RECORD: dropped},
-        legacy_counters={
-            DropReason.MISSING_RECORD:
-                "pipeline.peers_dropped_missing_record"
-        },
     )
     quality.observe_array("geo_error_km", data["error_km"])
     return mapped, dropped
@@ -319,9 +314,6 @@ def filter_geo_error_batch(
         records_in=len(batch),
         records_out=len(kept),
         drops={DropReason.GEO_ERROR: dropped},
-        legacy_counters={
-            DropReason.GEO_ERROR: "pipeline.peers_dropped_geo_error"
-        },
     )
     return kept, dropped
 
@@ -344,9 +336,6 @@ def assign_asn_batch(
         records_in=len(batch),
         records_out=len(kept),
         drops={DropReason.UNROUTED: dropped},
-        legacy_counters={
-            DropReason.UNROUTED: "pipeline.peers_dropped_unrouted"
-        },
     )
     return kept, dropped
 

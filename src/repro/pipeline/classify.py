@@ -10,10 +10,10 @@ administrative names, so classification sees exactly what the paper's
 pipeline saw — including database mistakes.
 
 The decision itself lives in :func:`classify_from_counts`, which works
-on per-region *count* dictionaries — the shape both the object path
-(counts from one AS's peer columns) and the chunked streaming path
-(counts merged across chunks, see :mod:`repro.pipeline.stream`)
-produce, so the two paths cannot drift.  Ties break towards the
+on per-region *count* dictionaries — the shape both the exact driver
+(counts from one AS's peer columns) and summary mode (counts merged
+across chunks, see :mod:`repro.pipeline.stream`) produce, so the two
+modes cannot drift.  Ties break towards the
 lexicographically smallest region name (the historical
 ``np.unique``-then-``argmax`` behaviour).
 """

@@ -11,20 +11,20 @@ Three filters condition the raw mapped peers into the target dataset:
   percentile of geo error is larger than 80km"), which is what licenses
   a *fixed* 40 km kernel bandwidth across all surviving ASes.
 
-The chunked summary path (:mod:`repro.pipeline.stream`) cannot hold an
-AS's full error column, so its percentile gate runs on the AS's merged
-:class:`~repro.obs.quality.QuantileDigest` instead —
-:func:`digest_error_percentile` /
-:func:`filter_error_percentile_digests` below.  The digest is exact
-(weight-1 centroids) up to its centroid budget and a bounded
-equal-count approximation beyond it; ``docs/DATA_MODEL.md`` states the
-bound.
+The summary path (:mod:`repro.pipeline.stream`) cannot hold an AS's
+full error column.  Its percentile gate
+(:func:`filter_error_percentile_digests`) still decides exactly, from
+three mergeable tallies of the errors split at the threshold
+(:func:`tallies_within_percentile`); the AS's merged
+:class:`~repro.obs.quality.QuantileDigest` only reports the percentile
+(:func:`digest_error_percentile`).  ``docs/DATA_MODEL.md`` gives the
+rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import math
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -39,15 +39,6 @@ METRO_DIAMETER_KM = 100.0
 GEO_ERROR_GATE_KM = 80.0
 MIN_PEERS_PER_AS = 1000
 ERROR_PERCENTILE = 90.0
-
-
-@dataclass(frozen=True)
-class FilterStats:
-    """Peers/ASes removed by each conditioning step."""
-
-    peers_dropped_geo_error: int = 0
-    ases_dropped_small: int = 0
-    ases_dropped_error_percentile: int = 0
 
 
 def filter_geo_error(
@@ -67,9 +58,6 @@ def filter_geo_error(
         records_in=len(mapped),
         records_out=int(keep.size),
         drops={DropReason.GEO_ERROR: int(dropped)},
-        legacy_counters={
-            DropReason.GEO_ERROR: "pipeline.peers_dropped_geo_error"
-        },
     )
     return mapped.subset(keep), int(dropped)
 
@@ -87,9 +75,6 @@ def filter_min_peers(
         records_in=len(groups),
         records_out=len(kept),
         drops={DropReason.AS_TOO_SMALL: len(groups) - len(kept)},
-        legacy_counters={
-            DropReason.AS_TOO_SMALL: "pipeline.ases_dropped_small"
-        },
     )
     return kept, len(groups) - len(kept)
 
@@ -113,10 +98,6 @@ def filter_error_percentile(
         records_in=len(groups),
         records_out=len(kept),
         drops={DropReason.AS_ERROR_PERCENTILE: len(groups) - len(kept)},
-        legacy_counters={
-            DropReason.AS_ERROR_PERCENTILE:
-                "pipeline.ases_dropped_error_percentile"
-        },
     )
     return kept, len(groups) - len(kept)
 
@@ -126,12 +107,12 @@ def digest_error_percentile(
 ) -> float:
     """Geo-error percentile of one AS read off its merged digest.
 
-    The chunked-path counterpart of
+    The summary path's reported counterpart of
     :meth:`~repro.pipeline.grouping.ASPeerGroup.error_percentile`: while
     every observed value is still a weight-1 centroid (AS peer count at
     or under the digest's centroid budget) this equals ``np.percentile``
-    exactly; beyond that it is the digest's bounded equal-count
-    approximation (see ``docs/DATA_MODEL.md``).
+    exactly; beyond that it is the digest's equal-count approximation.
+    The gate never reads it.
     """
     if not 0 < percentile <= 100:
         raise ValueError("percentile out of range")
@@ -140,33 +121,70 @@ def digest_error_percentile(
     return float(digest.quantile(percentile / 100.0))
 
 
-def filter_error_percentile_digests(
-    digests: Dict[int, QuantileDigest],
-    percentile: float = ERROR_PERCENTILE,
-    max_km: float = GEO_ERROR_GATE_KM,
-) -> Tuple[Dict[int, QuantileDigest], int]:
-    """Digest-based twin of :func:`filter_error_percentile`.
+def tallies_within_percentile(
+    count: int,
+    count_le: int,
+    max_le: float,
+    min_gt: float,
+    percentile: float,
+    max_km: float,
+) -> bool:
+    """Exactly ``np.percentile(errors, percentile) <= max_km``, from the
+    errors' tallies split at ``max_km``.
 
-    Applies the paper's percentile gate to per-AS merged geo-error
-    digests (the chunked summary path's bounded-memory stand-in for the
-    full error columns) and records the same
-    ``pipeline.filter_error_percentile`` funnel stage, so chunked and
-    serial runs share one waterfall.
+    ``count_le`` errors are at or under ``max_km``, the largest of them
+    is ``max_le`` and the smallest error above it ``min_gt`` (all in
+    float64).  ``np.percentile`` interpolates between the order
+    statistics ``k`` and ``k + 1`` at ``k + t = percentile/100 *
+    (count - 1)``: both sit under the threshold when ``k + 1 <
+    count_le``, ``k`` already sits over it when ``k >= count_le``, ``k``
+    is the last error and under it when ``k == count - 1``, and
+    otherwise they are exactly ``max_le`` and ``min_gt``, so numpy's
+    two-sided lerp of them decides.
     """
+    index = (count - 1) * (percentile / 100.0)
+    k = math.floor(index)
+    t = index - k
+    if k + 1 < count_le:
+        return True
+    if k >= count_le:
+        return False
+    if k == count - 1:
+        return True
+    diff = min_gt - max_le
+    if t >= 0.5:
+        value = min_gt - diff * (1.0 - t)
+    else:
+        value = max_le + diff * t
+    return value <= max_km
+
+
+def filter_error_percentile_digests(
+    aggregates: Dict[int, Any], percentile: float = ERROR_PERCENTILE
+) -> Tuple[Dict[int, Any], int]:
+    """Summary-path twin of :func:`filter_error_percentile`.
+
+    Applies the paper's percentile gate to per-AS
+    :class:`~repro.pipeline.stream.ASAggregate` objects, each deciding
+    exactly from its tallies (``count``, ``count_le``, ``max_le``,
+    ``min_gt``) at the threshold it split them at (``gate_km``).
+    Records the same ``pipeline.filter_error_percentile`` funnel stage,
+    so summary and exact runs share one waterfall.
+    """
+    if not 0 < percentile <= 100:
+        raise ValueError("percentile out of range")
     kept = {
-        asn: digest
-        for asn, digest in digests.items()
-        if digest_error_percentile(digest, percentile) <= max_km
+        asn: a
+        for asn, a in aggregates.items()
+        if tallies_within_percentile(
+            a.count, a.count_le, a.max_le, a.min_gt, percentile, a.gate_km
+        )
     }
     lineage.record_stage(
         "pipeline.filter_error_percentile",
         unit="ases",
-        records_in=len(digests),
+        records_in=len(aggregates),
         records_out=len(kept),
-        drops={DropReason.AS_ERROR_PERCENTILE: len(digests) - len(kept)},
-        legacy_counters={
-            DropReason.AS_ERROR_PERCENTILE:
-                "pipeline.ases_dropped_error_percentile"
-        },
+        drops={DropReason.AS_ERROR_PERCENTILE: len(aggregates) - len(kept)},
     )
-    return kept, len(digests) - len(kept)
+    return kept, len(aggregates) - len(kept)

@@ -75,9 +75,9 @@ def partition_groups(
     """Partition already-routed peers into per-AS groups.
 
     ``asns`` is the parallel origin-AS column (no ``NO_MATCH`` rows —
-    drop accounting belongs to the lookup site).  Shared by the serial
-    path below and the chunked driver in
-    :mod:`repro.pipeline.stream`; records the per-AS peer-count quality
+    drop accounting belongs to the lookup site).  Shared by
+    :func:`group_by_as` below and the driver in
+    :mod:`repro.pipeline.dataset`; records the per-AS peer-count quality
     digest and the ``pipeline.ases_grouped`` gauge in both.
     """
     groups: Dict[int, ASPeerGroup] = {}
@@ -115,9 +115,6 @@ def _group_by_as(
         records_in=n,
         records_out=kept,
         drops={DropReason.UNROUTED: n - kept},
-        legacy_counters={
-            DropReason.UNROUTED: "pipeline.peers_dropped_unrouted"
-        },
     )
     indices = np.flatnonzero(routed)
     groups = partition_groups(mapped.subset(indices), asns[indices])

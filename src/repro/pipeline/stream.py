@@ -1,46 +1,36 @@
-"""Chunk-streamed conditioning: the pipeline at paper-scale inputs.
+"""Summary-mode conditioning: the pipeline in O(chunk + ASes) memory.
 
-The Section 2 pipeline as shipped materialises every stage over the
-whole crawl at once — fine for seed-scale runs, impossible for the
-paper's 89.1M peers.  This module drives the columnar batch transforms
-(:mod:`repro.pipeline.batch`) over fixed-size
-:class:`~repro.crawl.chunks.PeerChunk` slices instead, in two modes:
+:func:`~repro.pipeline.dataset.build_target_dataset` (also exported
+here as :func:`stream_target_dataset`) streams the per-peer stages in
+chunks but keeps every surviving peer, which Sections 3-6 need.
+:func:`stream_summary` keeps none: each AS holds a fixed-size
+:class:`ASAggregate` (counts, coordinate sums, region counters, a
+merged geo-error :class:`~repro.obs.quality.QuantileDigest` and three
+scalar tallies of the errors split at the p90 gate's threshold), so
+peak memory is O(chunk + ASes) no matter how many peers stream through.
+The percentile gate decides exactly from the tallies
+(:func:`~repro.pipeline.filtering.filter_error_percentile_digests`),
+the digest only reports the percentile, and classification runs on the
+merged region counts
+(:func:`~repro.pipeline.classify.classify_from_counts`).
 
-* :func:`stream_target_dataset` — the **exact** mode behind the
-  ``--chunk-size`` flag.  Chunks stream through mapping, the geo-error
-  cut and AS resolution; only the *surviving* rows are retained, then
-  the usual grouping/filter/classify tail runs over them.  The result
-  is bit-identical to :func:`~repro.pipeline.dataset.build_target_dataset`
-  (CI byte-diffs the rendered Table 1), and peak memory is
-  O(chunk + survivors) instead of O(population).
-* :func:`stream_summary` — the **bounded-memory** mode.  Nothing
-  per-peer survives a chunk: each AS keeps a fixed-size
-  :class:`ASAggregate` (counts, coordinate sums, a merged geo-error
-  :class:`~repro.obs.quality.QuantileDigest`, region counters), so peak
-  memory is O(chunk + ASes) no matter how many peers stream through.
-  The percentile gate runs on the merged digests
-  (:func:`~repro.pipeline.filtering.filter_error_percentile_digests`)
-  and classification on the merged region counts
-  (:func:`~repro.pipeline.classify.classify_from_counts`).
-
-Both modes record the same lineage funnel stages as the serial path —
-stages aggregate by name, so per-chunk records sum to the serial
+Summary mode records the same lineage funnel stages as the exact
+driver: stages aggregate by name, so per-chunk records sum to the same
 totals and conservation (``in == out + drops``) holds either way.  The
-chunk/merge semantics and the digest approximation bound are specified
-in ``docs/DATA_MODEL.md``; the scale benchmark that pins the O(chunk)
-claim is ``benchmarks/bench_stream.py``.
+merge rules are specified in ``docs/DATA_MODEL.md``; the scale
+benchmark that pins the O(chunk) claim is ``benchmarks/bench_stream.py``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..crawl.chunks import DEFAULT_CHUNK_SIZE, PeerChunk
-from ..crawl.crawler import PeerSample
+from ..crawl.chunks import PeerChunk
 from ..geo.regions import RegionLevel
 from ..geodb.database import GeoDatabase
 from ..net.bgp import RoutingTable
@@ -48,182 +38,23 @@ from ..obs import lineage, quality
 from ..obs import telemetry as obs
 from ..obs.progress import tracker
 from ..obs.quality import QuantileDigest
-from ..obs.resources import default_rss_reader
-from .batch import (
-    GeoColumns,
-    PeerBatch,
-    RegionVocab,
-    assign_asn_batch,
-    concat_batches,
-    filter_geo_error_batch,
-    group_slices,
-    map_batch,
-)
+from .batch import PeerBatch, RegionVocab, group_slices
 from .classify import ASClassification, classify_from_counts
 from .dataset import (
     PipelineConfig,
     PipelineStats,
-    TargetDataset,
-    classify_groups,
+    _ChunkTotals,
+    _StageContext,
+    build_target_dataset,
 )
 from .filtering import (
     digest_error_percentile,
-    filter_error_percentile,
     filter_error_percentile_digests,
     filter_min_peers,
 )
-from .grouping import partition_groups
 
-
-class _ChunkTotals:
-    """Running funnel totals across chunks (plain numeric attributes)."""
-
-    __slots__ = ("chunks", "peers_in", "dropped_missing", "dropped_geo_error",
-                 "dropped_unrouted", "rss_peak_kib")
-
-    def __init__(self) -> None:
-        self.chunks = 0
-        self.peers_in = 0
-        self.dropped_missing = 0
-        self.dropped_geo_error = 0
-        self.dropped_unrouted = 0
-        self.rss_peak_kib = 0.0
-
-    def absorb(
-        self, n: int, missing: int, geo_error: int, unrouted: int
-    ) -> None:
-        self.chunks += 1
-        self.peers_in += n
-        self.dropped_missing += missing
-        self.dropped_geo_error += geo_error
-        self.dropped_unrouted += unrouted
-        self.rss_peak_kib = max(self.rss_peak_kib, default_rss_reader())
-
-    def gauges(self, chunk_size: int) -> None:
-        obs.gauge("pipeline.stream.chunks", self.chunks)
-        obs.gauge("pipeline.stream.chunk_size", chunk_size)
-        obs.gauge("pipeline.stream.rss_peak_kib", self.rss_peak_kib)
-
-
-class _StageContext:
-    """Per-run decode context: geo columns + routing index, built once."""
-
-    __slots__ = ("vocab", "primary", "secondary", "routing")
-
-    def __init__(
-        self,
-        primary: GeoDatabase,
-        secondary: GeoDatabase,
-        routing_table: RoutingTable,
-    ) -> None:
-        self.vocab = RegionVocab()
-        self.primary = GeoColumns.from_database(primary, self.vocab)
-        self.secondary = GeoColumns.from_database(secondary, self.vocab)
-        self.routing = routing_table.flat_index()
-
-    def condition_chunk(
-        self, chunk: PeerChunk, config: PipelineConfig
-    ) -> Tuple[PeerBatch, int, int, int]:
-        """Map → error-cut → AS-resolve one chunk (the per-peer stages).
-
-        Spans carry the serial stage names so chunked and serial runs
-        aggregate into the same span tree.
-        """
-        with obs.span("pipeline.mapping"):
-            mapped, dropped_missing = map_batch(
-                PeerBatch.from_chunk(chunk), self.primary, self.secondary,
-                self.vocab,
-            )
-        with obs.span("pipeline.filter_geo_error"):
-            kept, dropped_error = filter_geo_error_batch(
-                mapped, config.max_geo_error_km
-            )
-        with obs.span("pipeline.grouping"):
-            routed, dropped_unrouted = assign_asn_batch(kept, self.routing)
-        return routed, dropped_missing, dropped_error, dropped_unrouted
-
-
-class _SurvivorCollector:
-    """Accumulates the routed batches of the exact mode."""
-
-    __slots__ = ("batches",)
-
-    def __init__(self) -> None:
-        self.batches: List[PeerBatch] = []
-
-    def add(self, batch: PeerBatch) -> None:
-        self.batches.append(batch)
-
-    def concat(self) -> PeerBatch:
-        return concat_batches(self.batches)
-
-
-def stream_target_dataset(
-    sample: PeerSample,
-    primary: GeoDatabase,
-    secondary: GeoDatabase,
-    routing_table: RoutingTable,
-    config: PipelineConfig = PipelineConfig(),
-) -> TargetDataset:
-    """The Section 2 pipeline, chunk-streamed, bit-identical output.
-
-    Exactly :func:`~repro.pipeline.dataset.build_target_dataset` —
-    same :class:`TargetDataset`, same funnel totals, same gauges — but
-    the per-peer stages only ever see ``config.chunk_size`` rows at a
-    time, and dropped rows are released with their chunk.  This is the
-    mode the ``--chunk-size`` CLI flag selects and the one CI byte-diffs
-    against the serial Table 1.
-    """
-    chunk_size = config.chunk_size or DEFAULT_CHUNK_SIZE
-    with obs.span("pipeline.build_target_dataset"):
-        context = _StageContext(primary, secondary, routing_table)
-        totals = _ChunkTotals()
-        survivors = _SurvivorCollector()
-        with tracker(
-            "pipeline.stream", total=len(sample), unit="peers"
-        ) as progress:
-            for chunk in sample.chunks(chunk_size):
-                routed, missing, geo_error, unrouted = (
-                    context.condition_chunk(chunk, config)
-                )
-                totals.absorb(len(chunk), missing, geo_error, unrouted)
-                survivors.add(routed)
-                progress.advance(len(chunk))
-        merged = survivors.concat()
-        mapped = merged.to_mapped_peers()
-        with obs.span("pipeline.grouping"):
-            groups = partition_groups(
-                mapped, merged.data["asn"].astype(np.int64)
-            )
-        ases_before = len(groups)
-        with obs.span("pipeline.filter_min_peers"):
-            groups, dropped_small = filter_min_peers(
-                groups, config.min_peers_per_as
-            )
-        with obs.span("pipeline.filter_error_percentile"):
-            groups, dropped_percentile = filter_error_percentile(
-                groups, config.error_percentile, config.error_percentile_max_km
-            )
-        ases = classify_groups(groups, config.containment_threshold)
-    stats = PipelineStats(
-        crawled_peers=totals.peers_in,
-        dropped_missing_record=totals.dropped_missing,
-        dropped_geo_error=totals.dropped_geo_error,
-        grouped_peers=totals.peers_in - totals.dropped_missing
-        - totals.dropped_geo_error - totals.dropped_unrouted,
-        dropped_unrouted=totals.dropped_unrouted,
-        ases_before_filters=ases_before,
-        ases_dropped_small=dropped_small,
-        ases_dropped_error_percentile=dropped_percentile,
-        target_ases=len(ases),
-        target_peers=sum(len(a) for a in ases.values()),
-    )
-    obs.gauge("pipeline.target_ases", stats.target_ases)
-    obs.gauge("pipeline.target_peers", stats.target_peers)
-    totals.gauges(chunk_size)
-    return TargetDataset(
-        ases=ases, stats=stats, app_names=sample.app_names, config=config
-    )
+#: The exact driver, which always streams, under its streaming name.
+stream_target_dataset = build_target_dataset
 
 
 @dataclass
@@ -232,15 +63,23 @@ class ASAggregate:
 
     Everything here is bounded regardless of how many peers the AS
     accumulates: scalar counts, per-app counts, float64 coordinate
-    sums, one capped quantile digest and four region counters whose
-    key space is the geo database's block vocabulary.  ``__len__``
+    sums, one capped quantile digest, four region counters whose key
+    space is the geo database's block vocabulary, and the percentile
+    gate's tallies.  Those split the AS's errors at ``gate_km`` (fixed
+    before the first chunk): ``count_le`` errors at or under it, the
+    largest of them ``max_le`` and the smallest error over it
+    ``min_gt``, compared in float64 like ``np.percentile``.  ``__len__``
     returns the peer count so the object passes straight through
     :func:`~repro.pipeline.filtering.filter_min_peers`.
     """
 
     asn: int
     n_apps: int
+    gate_km: float
     count: int = 0
+    count_le: int = 0
+    max_le: float = -math.inf
+    min_gt: float = math.inf
     app_counts: np.ndarray = field(default=None)  # type: ignore[assignment]
     lat_sum: float = 0.0
     lon_sum: float = 0.0
@@ -267,7 +106,16 @@ class ASAggregate:
         self.app_counts += np.count_nonzero(membership[rows], axis=0)
         self.lat_sum += float(data["lat"][rows].astype(np.float64).sum())
         self.lon_sum += float(data["lon"][rows].astype(np.float64).sum())
-        self.error_digest.observe_array(data["error_km"][rows])
+        errors = data["error_km"][rows].astype(np.float64)
+        self.error_digest.observe_array(errors)
+        within = errors <= self.gate_km
+        self.count_le += int(np.count_nonzero(within))
+        self.max_le = max(
+            self.max_le, float(np.max(errors, where=within, initial=-math.inf))
+        )
+        self.min_gt = min(
+            self.min_gt, float(np.min(errors, where=~within, initial=math.inf))
+        )
         blocks = data["block"][rows].astype(np.int64)
         self.city_counts.update(_id_counts(geo.city_key_id[blocks]))
         self.state_counts.update(_id_counts(geo.state_key_id[blocks]))
@@ -337,15 +185,15 @@ def stream_summary(
 ) -> StreamSummary:
     """The bounded-memory Section 2 pipeline over a chunk stream.
 
-    Conditions each chunk with the same batch transforms as the exact
-    mode but keeps only per-AS :class:`ASAggregate` state between
-    chunks, so peak memory is O(chunk + ASes) — the property
-    ``benchmarks/bench_stream.py`` pins across population sizes.  The
-    min-peers gate runs on exact counts; the percentile gate on merged
-    digests (exact up to the centroid budget, bounded beyond — see
-    ``docs/DATA_MODEL.md``); classification on merged region counts via
-    :func:`~repro.pipeline.classify.classify_from_counts`, preserving
-    the serial tie-break.
+    Conditions each chunk with the same batch transforms as
+    :func:`~repro.pipeline.dataset.build_target_dataset` but keeps only
+    per-AS :class:`ASAggregate` state between chunks, so peak memory is
+    O(chunk + ASes) — the property ``benchmarks/bench_stream.py`` pins
+    across population sizes.  Both per-AS gates are exact: the
+    min-peers gate on counts, the percentile gate on the error tallies
+    (see ``docs/DATA_MODEL.md``).  Classification runs on merged region
+    counts via :func:`~repro.pipeline.classify.classify_from_counts`,
+    with the exact driver's tie-break.
 
     ``chunk_size`` is metadata for the ``pipeline.stream.chunk_size``
     gauge; ``app_names`` seeds the output when the stream is empty.
@@ -359,10 +207,7 @@ def stream_summary(
         with tracker("pipeline.stream", total=0, unit="chunks") as progress:
             for chunk in chunks:
                 app_names = chunk.app_names
-                routed, missing, geo_error, unrouted = (
-                    context.condition_chunk(chunk, config)
-                )
-                totals.absorb(len(chunk), missing, geo_error, unrouted)
+                routed = context.condition_chunk(chunk, config, totals)
                 membership = routed.membership()
                 for asn, rows in group_slices(
                     routed.data["asn"].astype(np.int64)
@@ -370,7 +215,9 @@ def stream_summary(
                     aggregate = aggregates.get(asn)
                     if aggregate is None:
                         aggregate = ASAggregate(
-                            asn=asn, n_apps=len(app_names)
+                            asn=asn,
+                            n_apps=len(app_names),
+                            gate_km=config.error_percentile_max_km,
                         )
                         aggregates[asn] = aggregate
                     aggregate.absorb(routed, rows, membership)
@@ -387,16 +234,9 @@ def stream_summary(
                 aggregates, config.min_peers_per_as
             )
         with obs.span("pipeline.filter_error_percentile"):
-            kept_digests, dropped_percentile = (
-                filter_error_percentile_digests(
-                    {asn: a.error_digest for asn, a in aggregates.items()},
-                    config.error_percentile,
-                    config.error_percentile_max_km,
-                )
+            aggregates, dropped_percentile = filter_error_percentile_digests(
+                aggregates, config.error_percentile
             )
-        aggregates = {
-            asn: a for asn, a in aggregates.items() if asn in kept_digests
-        }
         ases: Dict[int, StreamTargetAS] = {}
         with obs.span("pipeline.classify"):
             with tracker(
@@ -414,22 +254,14 @@ def stream_summary(
             records_in=len(aggregates),
             records_out=len(ases),
         )
-    stats = PipelineStats(
-        crawled_peers=totals.peers_in,
-        dropped_missing_record=totals.dropped_missing,
-        dropped_geo_error=totals.dropped_geo_error,
-        grouped_peers=totals.peers_in - totals.dropped_missing
-        - totals.dropped_geo_error - totals.dropped_unrouted,
-        dropped_unrouted=totals.dropped_unrouted,
-        ases_before_filters=ases_before,
-        ases_dropped_small=dropped_small,
-        ases_dropped_error_percentile=dropped_percentile,
+    stats = totals.stats(
+        chunk_size or 0,
+        ases_before=ases_before,
+        dropped_small=dropped_small,
+        dropped_percentile=dropped_percentile,
         target_ases=len(ases),
         target_peers=sum(a.peer_count for a in ases.values()),
     )
-    obs.gauge("pipeline.target_ases", stats.target_ases)
-    obs.gauge("pipeline.target_peers", stats.target_peers)
-    totals.gauges(chunk_size or 0)
     return StreamSummary(
         ases=ases,
         stats=stats,

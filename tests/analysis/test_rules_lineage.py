@@ -81,9 +81,6 @@ def test_lineage_api_call_sites_are_clean():
                 records_in=len(items),
                 records_out=len(kept),
                 drops={DropReason.GEO_ERROR: len(items) - len(kept)},
-                legacy_counters={
-                    DropReason.GEO_ERROR: "pipeline.peers_dropped_geo_error"
-                },
             )
             return kept
         """

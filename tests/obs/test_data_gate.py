@@ -175,20 +175,6 @@ class TestInstrumentedRunEndToEnd:
         assert (stages["pipeline.filter_geo_error"]["records_out"]
                 == stages["pipeline.grouping"]["records_in"])
 
-    def test_legacy_drop_counters_still_emitted(self, report_path):
-        report = RunReport.load(report_path)
-        for legacy in (
-            "pipeline.peers_dropped_missing_record",
-            "pipeline.peers_dropped_geo_error",
-            "pipeline.peers_dropped_unrouted",
-            "pipeline.ases_dropped_small",
-            "pipeline.ases_dropped_error_percentile",
-        ):
-            assert legacy in report.counters, legacy
-        stages = {s["stage"]: s for s in report.funnel()}
-        assert (report.counters["pipeline.peers_dropped_geo_error"]
-                == stages["pipeline.filter_geo_error"]["drops"]["geo_error"])
-
     def test_quality_digests_and_gauges_present(self, report_path):
         report = RunReport.load(report_path)
         digests = report.quality_digests()

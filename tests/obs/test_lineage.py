@@ -110,21 +110,6 @@ class TestRecordStage:
             with pytest.raises(FunnelConservationError):
                 record_stage("s", unit="peers", records_in=2, records_out=5)
 
-    def test_legacy_counters_emitted_including_zero(self):
-        with obs.capture() as telemetry:
-            record_stage(
-                "pipeline.filter_geo_error", unit="peers",
-                records_in=10, records_out=10,
-                drops={DropReason.GEO_ERROR: 0},
-                legacy_counters={
-                    DropReason.GEO_ERROR: "pipeline.peers_dropped_geo_error"
-                },
-            )
-        counters = telemetry.snapshot()["counters"]
-        # A zero counter still appears, keeping baseline counter sets
-        # comparable across the legacy/lineage transition.
-        assert counters["pipeline.peers_dropped_geo_error"] == 0
-
     def test_stages_aggregate_by_name(self):
         with obs.capture() as telemetry:
             for _ in range(3):

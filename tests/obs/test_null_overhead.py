@@ -78,9 +78,6 @@ class TestNoPerCallState:
                     "pipeline.filter_geo_error", unit="peers",
                     records_in=10, records_out=9,
                     drops={"geo_error": 1},
-                    legacy_counters={
-                        "geo_error": "pipeline.peers_dropped_geo_error"
-                    },
                 )
                 quality.observe("geo_error_km", (1.0, 2.0))
             current, _ = tracemalloc.get_traced_memory()
