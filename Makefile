@@ -53,29 +53,41 @@ lint-tests:
 	$(PYTHON) -m repro.cli lint tests benchmarks perfbench --select REP5 \
 		--no-baseline
 
-# The CI perf + data + resource gate, runnable locally: instrumented
-# smoke run (with a flame profile), funnel conservation check,
-# resource-profile validation against the committed budget, flame-
-# profile validation, then a noise-aware diff against the committed
-# baseline (exit 1 on regression or drift of any kind).
+# The CI perf + data + resource gate, runnable locally (CI runs this
+# target, so each gate is defined here once): instrumented smoke run
+# (with an event stream and a flame profile), event-stream integrity,
+# funnel conservation, resource-profile validation against the
+# committed budget, flame-profile validation, then a noise-aware diff
+# against the committed baseline (exit 1 on regression or drift of any
+# kind).  The JSON/speedscope renderings land in $(SMOKE_DIR) as CI
+# artifacts.
 smoke:
 	@mkdir -p $(SMOKE_DIR)
 	$(PYTHON) -m repro.cli --metrics-out $(SMOKE_DIR)/smoke-report.json \
-		--trace-out $(SMOKE_DIR)/smoke-trace.json --memory \
+		--trace-out $(SMOKE_DIR)/smoke-trace.json \
+		--events-out $(SMOKE_DIR)/smoke-events.jsonl --memory \
 		--profile-resources \
 		--flame-out $(SMOKE_DIR)/smoke-flame.json table1
+	$(PYTHON) -m repro.cli stats events $(SMOKE_DIR)/smoke-events.jsonl
 	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/smoke-report.json
+	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/smoke-report.json \
+		--format json > $(SMOKE_DIR)/smoke-funnel.json
 	$(PYTHON) -m repro.cli stats resources $(SMOKE_DIR)/smoke-report.json \
 		--budget benchmarks/baselines/resource-budget.json
+	$(PYTHON) -m repro.cli stats resources $(SMOKE_DIR)/smoke-report.json \
+		--budget benchmarks/baselines/resource-budget.json \
+		--format json > $(SMOKE_DIR)/smoke-resources.json
+	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/smoke-flame.json
 	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/smoke-flame.json \
-		> /dev/null
+		--format speedscope > $(SMOKE_DIR)/smoke-flame-speedscope.json
 	$(PYTHON) -m repro.cli stats diff benchmarks/baselines/smoke.json \
 		$(SMOKE_DIR)/smoke-report.json --max-ratio 4.0 \
 		--noise-floor-ms 50 --cpu-util-tolerance 0.75
 
 # The CI engine gate, runnable locally: the rendered table1 must be
-# byte-identical with the engine off, cold and warm; the warm re-run
-# must serve every footprint artifact from the content-addressed cache.
+# byte-identical with the engine off, cold and warm; the cold run must
+# miss and write every footprint artifact, and the warm re-run must
+# serve them all from the content-addressed cache.
 smoke-parallel:
 	@mkdir -p $(SMOKE_DIR)
 	rm -rf .fpcache
@@ -92,9 +104,11 @@ smoke-parallel:
 		cold = json.load(open('$(SMOKE_DIR)/parallel-cold.json'))['counters']; \
 		warm = json.load(open('$(SMOKE_DIR)/parallel-warm.json'))['counters']; \
 		assert cold.get('exec.cache.misses', 0) > 0, cold; \
+		assert cold.get('exec.cache.writes', 0) > 0, cold; \
 		assert warm.get('exec.cache.hits', 0) > 0, warm; \
 		assert warm.get('exec.cache.misses', 0) == 0, warm; \
-		print('engine gate ok:', warm.get('exec.cache.hits'), 'hits')"
+		print('engine gate ok:', cold.get('exec.cache.writes'), 'writes,', \
+			warm.get('exec.cache.hits'), 'hits')"
 
 # The CI streaming gate, runnable locally: the chunk-streamed pipeline
 # (--chunk-size) must render a byte-identical table1, the run must

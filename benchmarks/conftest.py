@@ -23,8 +23,8 @@ import pytest
 from repro.experiments.scenario import ScenarioConfig, cached_scenario
 from repro.obs import telemetry as obs
 from repro.obs.history import RunHistory, utc_timestamp
-from repro.obs.prof import sample_stacks, top_frames
-from repro.obs.resources import sample_resources
+from repro.obs.prof import top_frames
+from repro.obs.sampler import sample
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -80,23 +80,25 @@ def archive(request):
 
     Telemetry is captured for the duration of the test, embedded in the
     JSON record under ``"telemetry"``, and the whole record is appended
-    to ``results/history.jsonl``.  A resource sampler runs alongside
-    (rollups only) and embeds its per-stage accounting under
-    ``"resources"`` — the numbers ``benchmarks/baselines/``'s resource
-    budget is calibrated against.  A stack sampler runs too, embedding
-    the run's hottest frames under ``"frames"`` so the trajectory also
-    records *where* each benchmark spent its time.
+    to ``results/history.jsonl``.  One sampler runs alongside: its
+    resource reader (rollups only) embeds its per-stage accounting
+    under ``"resources"`` — the numbers ``benchmarks/baselines/``'s
+    resource budget is calibrated against — and its stack reader
+    embeds the run's hottest frames under ``"frames"`` so the
+    trajectory also records *where* each benchmark spent its time.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    with obs.capture() as telemetry, sample_resources(
-        BENCH_PROFILE_HZ, telemetry=telemetry, keep_samples=False
-    ) as sampler, sample_stacks(
-        BENCH_FLAME_HZ, telemetry=telemetry
-    ) as stacks:
+    with obs.capture() as telemetry, sample(
+        telemetry,
+        profile_hz=BENCH_PROFILE_HZ,
+        flame_hz=BENCH_FLAME_HZ,
+        keep_samples=False,
+    ) as sampler:
         start = time.perf_counter()
 
         def write(name: str, text: str, **extra) -> None:
             wall_s = time.perf_counter() - start
+            documents = sampler.documents()  # read while it still runs
             (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
             record = {
                 "name": name,
@@ -107,8 +109,10 @@ def archive(request):
                 "git_rev": _git_rev(),
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 "telemetry": telemetry.snapshot(),
-                "resources": sampler.rollups(),
-                "frames": top_frames(stacks.profile(), n=BENCH_TOP_FRAMES),
+                "resources": documents["resource_profile"],
+                "frames": top_frames(
+                    documents["flame_profile"], n=BENCH_TOP_FRAMES
+                ),
             }
             record.update(extra)
             (RESULTS_DIR / f"{name}.json").write_text(

@@ -109,7 +109,6 @@ from .experiments.scenario import (
     ScenarioConfig,
     build_scenario,
     cached_scenario,
-    config_hash,
 )
 from .experiments.section5 import run_section5
 from .experiments.section6 import run_section6
@@ -129,6 +128,7 @@ from .obs.logconfig import LEVELS, configure_logging
 from .obs.memory import capture_memory
 from .obs.report import DATA_QUALITY_SCHEMA, RunReport
 from .obs.report import SCHEMA as RUN_REPORT_SCHEMA
+from .obs.sampler import sample
 from .obs.trace import write_trace
 from .validation.reference import ReferenceConfig
 
@@ -177,13 +177,14 @@ def _effective_flame_hz(args) -> Optional[float]:
     """The stack-sampling rate this run profiles at (None = off).
 
     ``--flame-out`` arms the sampler (at ``--flame-hz`` or the default
-    rate); bare ``stats`` runs additionally honour ``--flame-hz`` on
-    their self-armed capture, mirroring ``--profile-resources``.
+    rate); bare ``stats`` runs, which arm telemetry without a sink,
+    additionally honour ``--flame-hz`` alone, mirroring
+    ``--profile-resources``.
     """
     if getattr(args, "flame_out", None) is not None:
         return getattr(args, "flame_hz", None) or obs_prof.DEFAULT_HZ
     if (
-        getattr(args, "command", None) == "stats"
+        getattr(args, "handler", None) is cmd_stats
         and getattr(args, "flame_hz", None)
     ):
         return args.flame_hz
@@ -400,57 +401,24 @@ def cmd_lint(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Profile one fresh pipeline run and print the telemetry summary.
+    """Profile one fresh pipeline run.
 
     Always rebuilds the scenario (no cache) so the span timings reflect
     real work, then exercises the KDE → PoP stages on a few target ASes
-    so the Section 3/4 spans appear too.
+    so the Section 3/4 spans appear too.  :func:`main` arms telemetry
+    and any sampler around this run and prints the telemetry summary
+    once the profiles are folded in.
     """
-    config = _scenario_config(args)
-    active = obs.get_telemetry()
-    if active.enabled:  # --metrics-out/--trace-out installed a registry
-        telemetry = active  # main() already armed the sampler, if any
-        scenario = _run_profiled(config, args)
-    else:
-        enable = capture_memory if args.memory else obs.capture
-        with ExitStack() as stack:
-            telemetry = stack.enter_context(enable())
-            profile_hz = getattr(args, "profile_resources", None)
-            if profile_hz:
-                stack.enter_context(
-                    obs_resources.sample_resources(
-                        profile_hz, telemetry=telemetry
-                    )
-                )
-            flame_hz = _effective_flame_hz(args)
-            if flame_hz:
-                stack.enter_context(
-                    obs_prof.sample_stacks(flame_hz, telemetry=telemetry)
-                )
-            scenario = _run_profiled(config, args)
-    report = RunReport.from_telemetry(
-        telemetry,
-        command="stats",
-        preset=args.preset,
-        seed=args.seed,
-        config_hash=config_hash(config),
-        version=__version__,
-    )
-    print(report.render_summary(top=args.top))
-    print(
-        f"\ntarget dataset: {len(scenario.dataset)} ASes, "
-        f"{scenario.dataset.total_peers} peers"
-    )
-    return 0
-
-
-def _run_profiled(config: ScenarioConfig, args):
-    scenario = build_scenario(config)
+    scenario = build_scenario(_scenario_config(args))
     asns = scenario.eyeball_target_asns()[: args.profile_ases]
     scenario.pop_footprints(
         asns, WARM_BANDWIDTH_KM, parallel=_parallel_config(args)
     )
-    return scenario
+    print(
+        f"target dataset: {len(scenario.dataset)} ASes, "
+        f"{scenario.dataset.total_peers} peers\n"
+    )
+    return 0
 
 
 #: Where the benchmark harness appends its run history.
@@ -805,14 +773,13 @@ class _ProgressRenderer:
 def cmd_stats_history(args) -> int:
     """Summarise the append-only run history (most recent last)."""
     history = RunHistory(args.path)
-    limit = args.limit if args.limit is not None else args.last
     if args.format == "json":
-        entries = history.entries(name=args.name)[-limit:]
+        entries = history.entries(name=args.name)[-args.limit:]
         print(json.dumps(
             [entry.to_dict() for entry in entries], indent=2, sort_keys=True
         ))
     else:
-        print(history.render_summary(last=limit, name=args.name))
+        print(history.render_summary(last=args.limit, name=args.name))
     skipped = history.skipped_lines()
     if skipped:
         print(f"({skipped} unreadable line(s) skipped)", file=sys.stderr)
@@ -1096,17 +1063,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"history file (default: {DEFAULT_HISTORY})",
     )
     history.add_argument(
-        "--last",
-        type=int,
-        default=10,
-        help="how many most-recent entries to show (default: 10)",
-    )
-    history.add_argument(
         "--limit",
         type=int,
-        default=None,
+        default=10,
         metavar="N",
-        help="synonym for --last (takes precedence when both are given)",
+        help="how many most-recent entries to show (default: 10)",
     )
     history.add_argument(
         "--name",
@@ -1311,42 +1272,38 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(_expand_bare_profile_flag(argv))
     if not 1 <= args.workers <= MAX_WORKERS:
         parser.error(f"--workers must be in [1, {MAX_WORKERS}]")
-    if args.profile_resources is not None:
-        if not 0 < args.profile_resources <= 1000:
-            parser.error("--profile-resources HZ must be in (0, 1000]")
-    if args.flame_hz is not None:
-        if not 0 < args.flame_hz <= 1000:
-            parser.error("--flame-hz HZ must be in (0, 1000]")
+    for flag, hz in (
+        ("--profile-resources", args.profile_resources),
+        ("--flame-hz", args.flame_hz),
+    ):
+        if hz is not None and not 0 < hz <= 1000:
+            parser.error(f"{flag} HZ must be in (0, 1000]")
     configure_logging(args.log_level)
     telemetry_on = (
         args.metrics_out is not None
         or args.trace_out is not None
         or args.flame_out is not None
+        or args.handler is cmd_stats  # a bare stats run profiles itself
     )
+    flame_hz = _effective_flame_hz(args)
     events_on = args.events_out is not None or args.progress
-    if args.memory and not telemetry_on:
-        # --memory alone is a documented no-op (the null registry stays
-        # installed, tracemalloc never starts) — but say so, because a
-        # silent no-op reads as a bug.
-        print(
-            "warning: --memory does nothing without a telemetry "
-            "sink; add --metrics-out PATH or --trace-out PATH",
-            file=sys.stderr,
-        )
-    if (
-        args.profile_resources is not None
-        and not telemetry_on
-        and args.command != "stats"  # stats arms its own capture
+    for flag, given in (
+        ("--memory", args.memory),
+        ("--profile-resources", args.profile_resources is not None),
     ):
-        print(
-            "warning: --profile-resources does nothing without a "
-            "telemetry sink; add --metrics-out PATH or --trace-out PATH",
-            file=sys.stderr,
-        )
+        if given and not telemetry_on:
+            # Alone, these flags are documented no-ops (the null registry
+            # stays installed, nothing is sampled) — but say so, because
+            # a silent no-op reads as a bug.
+            print(
+                f"warning: {flag} does nothing without a telemetry sink; "
+                "add --metrics-out PATH or --trace-out PATH",
+                file=sys.stderr,
+            )
     if (
         args.flame_hz is not None
         and args.flame_out is None
-        and args.command != "stats"  # stats arms its own capture
+        and args.handler is not cmd_stats  # a bare stats run honours it
     ):
         print(
             "warning: --flame-hz does nothing without --flame-out PATH",
@@ -1371,20 +1328,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             if telemetry_on:
                 enable = capture_memory if args.memory else obs.capture
                 telemetry = stack.enter_context(enable())
-                if args.profile_resources is not None:
-                    # Started before the cli.* span opens and stopped
-                    # after it closes, so every sample lands inside a
-                    # known stage (or the synthetic top-level bucket).
-                    stack.enter_context(
-                        obs_resources.sample_resources(
-                            args.profile_resources, telemetry=telemetry
-                        )
-                    )
-                flame_hz = _effective_flame_hz(args)
-                if flame_hz is not None:
-                    stack.enter_context(
-                        obs_prof.sample_stacks(flame_hz, telemetry=telemetry)
-                    )
+                # Started before the cli.* span opens and stopped after
+                # it closes, so every reading lands inside a known stage
+                # (or the synthetic top-level bucket).
+                stack.enter_context(sample(
+                    telemetry,
+                    profile_hz=args.profile_resources,
+                    flame_hz=flame_hz,
+                ))
                 stack.enter_context(obs.span(f"cli.{args.command}"))
             status = args.handler(args)
     except OSError as exc:
@@ -1407,9 +1358,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.profile_resources is not None:
         meta["profile_hz"] = args.profile_resources
-    if args.flame_out is not None:
-        meta["flame_hz"] = _effective_flame_hz(args)
+    if flame_hz is not None:
+        meta["flame_hz"] = flame_hz
     report = RunReport.from_telemetry(telemetry, **meta)
+    if args.handler is cmd_stats:
+        print(report.render_summary(top=args.top))
     try:
         if args.metrics_out is not None:
             path = report.write(args.metrics_out)

@@ -34,8 +34,7 @@ from ..geo.gazetteer import Gazetteer
 from ..obs import progress as obs_progress
 from ..obs import telemetry as obs
 from ..obs.progress import StallWatchdog
-from ..obs.prof import sample_stacks
-from ..obs.resources import sample_resources
+from ..obs.sampler import sample
 from .cache import ArtifactCache, gazetteer_fingerprint, job_key
 from .config import ParallelConfig
 from .jobs import FootprintArtifact, FootprintJob, execute_job
@@ -63,10 +62,10 @@ def _init_worker(
     active registry; recording into it would be silently lost (the
     fork's copy never returns home).  Workers therefore start with the
     null registry and do all recording inside an explicit capture in
-    :func:`_run_chunk`.  ``profile_hz`` arms the per-worker resource
-    sampler (:class:`~repro.exec.config.ParallelConfig.profile_hz`);
-    ``flame_hz`` the per-worker stack sampler
-    (:class:`~repro.exec.config.ParallelConfig.flame_hz`).
+    :func:`_run_chunk`.  ``profile_hz`` and ``flame_hz`` arm the
+    per-worker resource and stack readers
+    (:class:`~repro.exec.config.ParallelConfig.profile_hz`,
+    :class:`~repro.exec.config.ParallelConfig.flame_hz`).
     """
     global _WORKER_GAZETTEER, _WORKER_PROFILE_HZ, _WORKER_FLAME_HZ
     _WORKER_GAZETTEER = gazetteer
@@ -81,23 +80,22 @@ def _run_chunk(
     """Execute one chunk in a worker; return artifacts + telemetry.
 
     With profiling armed, the worker samples itself for the chunk's
-    duration and ships the rollups home inside the snapshot (rollups
-    only — ``keep_samples=False`` keeps the pickle bounded); the parent
-    folds them under the host profile's ``workers`` list in
-    :meth:`repro.obs.telemetry.Telemetry.merge_snapshot`.  With stack
-    sampling armed, the worker likewise folds its own collapsed-stack
-    table and ships it home, where it merges counts-adding into the
-    host's flame profile.
+    duration and ships its documents home inside the snapshot: resource
+    rollups only (``keep_samples=False`` keeps the pickle bounded),
+    tagged with the worker's pid, and its collapsed-stack table.  The
+    parent folds them into the host profiles in
+    :meth:`repro.obs.telemetry.Telemetry.merge_snapshot`.
     """
     gazetteer = _WORKER_GAZETTEER
     if gazetteer is None:
         raise RuntimeError("worker initialised without a gazetteer")
-    with obs.capture() as telemetry:
-        with sample_resources(
-            _WORKER_PROFILE_HZ, telemetry=telemetry, keep_samples=False
-        ):
-            with sample_stacks(_WORKER_FLAME_HZ, telemetry=telemetry):
-                artifacts = [execute_job(job, gazetteer) for job in jobs]
+    with obs.capture() as telemetry, sample(
+        telemetry,
+        profile_hz=_WORKER_PROFILE_HZ,
+        flame_hz=_WORKER_FLAME_HZ,
+        keep_samples=False,
+    ):
+        artifacts = [execute_job(job, gazetteer) for job in jobs]
     return artifacts, telemetry.snapshot()
 
 

@@ -28,16 +28,20 @@ Zero-dependency pieces, layered in two tiers.  Capture:
     :class:`~repro.obs.progress.ProgressTracker` (rate/ETA per stage)
     and :class:`~repro.obs.progress.StallWatchdog` (chunk-latency
     stall detection) feeding the event stream.
+``repro.obs.sampler``
+    :func:`~repro.obs.sampler.sample` — one background
+    :class:`~repro.obs.sampler.Sampler` thread per process driving
+    the resource and stack readers below, each at its own rate.
 ``repro.obs.resources``
-    :class:`~repro.obs.resources.ResourceSampler` — background-thread
-    RSS/CPU/heap sampling into ``repro.resource-profile/v1`` documents
-    (per-sample rows + per-stage rollups), with a committed-budget
-    gate (:func:`~repro.obs.resources.check_budget`).
+    :class:`~repro.obs.resources.ResourceReader` — RSS/CPU/heap
+    readings into ``repro.resource-profile/v1`` documents (per-sample
+    rows + per-stage rollups), with a committed-budget gate
+    (:func:`~repro.obs.resources.check_budget`).
 ``repro.obs.prof``
-    :class:`~repro.obs.prof.StackSampler` — background-thread wall-
-    clock stack sampling into span-attributed ``repro.flame/v1``
-    collapsed-stack tables, with flamegraph.pl/speedscope export and
-    a hot-frame diff gate (:func:`~repro.obs.prof.diff_flame`).
+    :class:`~repro.obs.prof.StackReader` — wall-clock stack readings
+    into span-attributed ``repro.flame/v1`` collapsed-stack tables,
+    with flamegraph.pl/speedscope export and a hot-frame diff gate
+    (:func:`~repro.obs.prof.diff_flame`).
 
 And the longitudinal tier built on run reports:
 
@@ -89,18 +93,14 @@ from .prof import (
     FLAME_GAUGE_PREFIX,
     FLAME_GAUGES,
     FLAME_SCHEMA,
-    NULL_STACK_SAMPLER,
     FlameDiff,
     FrameShift,
-    NullStackSampler,
-    StackSampler,
     diff_flame,
     flame_gauges,
     merge_flame,
     render_collapsed,
     render_flame,
     render_speedscope,
-    sample_stacks,
     top_frames,
     validate_flame,
 )
@@ -114,19 +114,16 @@ from .progress import (
 from .quality import QUALITY_GAUGE_PREFIX, QuantileDigest, observe
 from .report import DATA_QUALITY_SCHEMA, SCHEMA, RunReport
 from .resources import (
-    NULL_SAMPLER,
     RESOURCE_BUDGET_SCHEMA,
     RESOURCE_GAUGE_PREFIX,
     RESOURCE_PROFILE_SCHEMA,
     ROLLUP_GAUGES,
-    NullResourceSampler,
-    ResourceSampler,
     check_budget,
     profile_gauges,
     render_profile,
-    sample_resources,
     validate_profile,
 )
+from .sampler import NULL_SAMPLER, Sampler, sample
 from .telemetry import (
     NULL,
     NullTelemetry,
@@ -163,11 +160,8 @@ __all__ = [
     "MetricDrift",
     "NULL",
     "NULL_SAMPLER",
-    "NULL_STACK_SAMPLER",
     "NULL_TRACKER",
     "NullProgressTracker",
-    "NullResourceSampler",
-    "NullStackSampler",
     "NullTelemetry",
     "ProgressTracker",
     "StallWatchdog",
@@ -180,14 +174,13 @@ __all__ = [
     "ROLLUP_GAUGES",
     "ReportDiff",
     "ResourceDrift",
-    "ResourceSampler",
     "RetentionDrift",
     "RunHistory",
     "RunReport",
     "SCHEMA",
+    "Sampler",
     "SpanDelta",
     "SpanNode",
-    "StackSampler",
     "Telemetry",
     "capture",
     "capture_memory",
@@ -214,8 +207,7 @@ __all__ = [
     "render_funnel",
     "render_profile",
     "render_speedscope",
-    "sample_resources",
-    "sample_stacks",
+    "sample",
     "set_telemetry",
     "span",
     "top_frames",

@@ -3,40 +3,32 @@
 Spans answer *which stage* is slow and resource profiles answer *what
 it cost*, but neither can say *which frames inside a stage* burn the
 time — every optimisation PR starts blind without that.
-:class:`StackSampler` fills the gap: a daemon thread walks
-``sys._current_frames()`` for the profiled thread at a fixed cadence
-and folds each observation into a bounded collapsed-stack table keyed
-by ``(open telemetry span, frame stack)``.  The result serialises as a
+:class:`StackReader` fills the gap: driven by the run's
+:class:`~repro.obs.sampler.Sampler` thread at a fixed cadence, it walks
+``sys._current_frames()`` for the profiled thread and folds each
+observation into a bounded collapsed-stack table keyed by ``(open
+telemetry span, frame stack)``.  The result serialises as a
 ``repro.flame/v1`` document — an interned frame list plus per-stack
 sample counts — and exports as Brendan-Gregg collapsed text
 (``flamegraph.pl``-compatible) or speedscope JSON.
 
-Lifecycle mirrors :class:`repro.obs.resources.ResourceSampler`:
-context-managed, injected clock and frame reader for deterministic
-tests, and a graceful null mode (:data:`NULL_STACK_SAMPLER` /
-:func:`sample_stacks` with a falsy rate) that costs nothing when
-profiling is off.  Exec workers run their own sampler and ship their
-tables home; :func:`merge_flame` folds them into the host profile with
-counts adding and stage attribution preserved, so a ``--workers N``
-run yields one unified flamegraph.
-
-This module deliberately imports only :mod:`repro.obs.resources` (for
-the shared ``(top)`` stage label; the registry imports *us* for
-:func:`flame_gauges`/:func:`merge_flame`), and attaches to any
-telemetry object by duck typing: it reads ``current_span_name`` and
-writes ``flame_profile``.
+Exec workers read their own stacks and ship their tables home;
+:func:`merge_flame` folds them into the host profile with counts adding
+and stage attribution preserved, so a ``--workers N`` run yields one
+unified flamegraph.  This module imports only
+:mod:`repro.obs.sampler` (for the shared ``(top)`` stage label; the
+registry imports *us* for :func:`flame_gauges`/:func:`merge_flame`).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .resources import TOP_LABEL
+from . import sampler
+from .sampler import TOP_LABEL
 
 #: Schema identifier embedded in every serialised flame profile.
 FLAME_SCHEMA = "repro.flame/v1"
@@ -57,7 +49,7 @@ FLAME_GAUGES = (
 )
 
 #: Default sampling cadence of ``--flame-out`` runs.  A prime rate so
-#: the sampler never locks step with the 10 Hz resource sampler or any
+#: the reader never locks step with the 10 Hz resource reader or any
 #: periodic stage work (the classic aliasing trap of fixed-rate
 #: profilers).
 DEFAULT_HZ = 97.0
@@ -103,12 +95,12 @@ def _default_frame_reader(
 
     Frames are keyed by ``co_firstlineno`` (the def line), not the
     currently-executing line: per-line keys would explode one logical
-    frame into dozens of stacks.  The profiler's own frames are
-    skipped so synchronous begin/stop samples don't pollute the table.
-    Returns ``None`` when the thread is gone or the walk fails —
-    profiling degrades, it never raises into the sampled program.
+    frame into dozens of stacks.  The profiler's own frames (this
+    module and the sampler driving it) are skipped.  Returns ``None``
+    when the thread is gone or the walk fails — profiling degrades, it
+    never raises into the sampled program.
     """
-    own_file = __file__
+    own_files = (__file__, sampler.__file__)
 
     def read() -> Optional[List[Frame]]:
         frame = sys._current_frames().get(target_ident)
@@ -117,7 +109,7 @@ def _default_frame_reader(
         frames: List[Frame] = []
         while frame is not None:
             code = frame.f_code
-            if code.co_filename != own_file:
+            if code.co_filename not in own_files:
                 frames.append((
                     code.co_name,
                     _short_path(code.co_filename),
@@ -130,37 +122,24 @@ def _default_frame_reader(
     return read
 
 
-def _empty_profile(hz: float = 0.0) -> Dict[str, Any]:
-    return {
-        "schema": FLAME_SCHEMA,
-        "hz": hz,
-        "duration_s": 0.0,
-        "sample_count": 0,
-        "dropped_samples": 0,
-        "frames": [],
-        "stacks": [],
-    }
+class StackReader:
+    """Reads one thread's call stack for a
+    :class:`~repro.obs.sampler.Sampler`.
 
-
-class StackSampler:
-    """Samples one thread's call stack on a daemon thread at ``hz``.
-
-    ``telemetry`` (optional, duck-typed) supplies the open-span label
-    per sample (``current_span_name``) and receives the finished
-    profile on :meth:`stop` (``flame_profile``; any worker tables
-    already merged in are folded together, not overwritten).
-    ``clock`` and ``frame_reader`` are injectable for deterministic
-    tests; :meth:`sample_once` can drive the sampler without a thread.
-    The profiled thread is the one that calls :meth:`begin` (normally
-    the main thread, via :meth:`start` or the context manager).
+    Each reading folds the stack into a bounded table keyed by (open
+    span, frame stack).  Stacks are read on the sampler thread's ticks
+    only, never at begin or end: those run inside the arming call on
+    the profiled thread, where the only stack to see is the arming code
+    itself.  The profiled thread is the one that begins the sampler.
+    ``frame_reader`` is injectable for deterministic tests.
     """
+
+    section = "flame_profile"
 
     def __init__(
         self,
         hz: float = DEFAULT_HZ,
         *,
-        telemetry: Optional[Any] = None,
-        clock: Callable[[], float] = time.perf_counter,
         max_stacks: int = DEFAULT_MAX_STACKS,
         max_depth: int = DEFAULT_MAX_DEPTH,
         frame_reader: Optional[Callable[[], Optional[List[Frame]]]] = None,
@@ -174,14 +153,7 @@ class StackSampler:
         self.hz = float(hz)
         self.max_stacks = max_stacks
         self.max_depth = max_depth
-        self._telemetry = telemetry
-        self._clock = clock
         self._frame_reader = frame_reader
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._begun = False
-        self._stopped = False
         self._frame_index: Dict[Frame, int] = {}
         self._frames: List[Frame] = []
         self._stacks: Dict[Tuple[str, Tuple[int, ...]], int] = {}
@@ -190,82 +162,15 @@ class StackSampler:
         self._t0 = 0.0
         self._last_t = 0.0
 
-    # -- lifecycle ----------------------------------------------------
-
-    def begin(self) -> None:
-        """Anchor the time base, pin the profiled thread, take one
-        sample (idempotent).
-
-        Separate from :meth:`start` so deterministic tests can drive
-        :meth:`sample_once` without a thread.
-        """
-        if self._begun:
-            return
-        self._begun = True
-        self._t0 = self._clock()
-        self._last_t = self._t0
+    def begin(self, now: float, label: str) -> None:
+        """Anchor the time base and pin the calling thread."""
+        self._t0 = self._last_t = now
         if self._frame_reader is None:
             self._frame_reader = _default_frame_reader(threading.get_ident())
-        self.sample_once()
 
-    def start(self) -> "StackSampler":
-        """Begin sampling and launch the daemon thread."""
-        self.begin()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run,
-                name="repro-stack-sampler",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the thread, take a final sample, attach the profile.
-
-        Idempotent.  The profile lands on the attached telemetry as
-        ``flame_profile``; worker tables already folded in by
-        ``merge_snapshot`` are merged with this sampler's table
-        (counts add) rather than overwritten.
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._begun:
-            self.sample_once()
-        telemetry = self._telemetry
-        if telemetry is not None and getattr(telemetry, "enabled", False):
-            document = self.profile()
-            existing = getattr(telemetry, "flame_profile", None)
-            if isinstance(existing, dict) and existing:
-                document = merge_flame(document, existing)
-            telemetry.flame_profile = document
-
-    def __enter__(self) -> "StackSampler":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> bool:
-        self.stop()
-        return False
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _run(self) -> None:
-        period = 1.0 / self.hz
-        while not self._stop_event.wait(period):
-            self.sample_once()
-
-    # -- sampling -----------------------------------------------------
-
-    def _span_label(self) -> str:
-        name = getattr(self._telemetry, "current_span_name", "")
-        return name or TOP_LABEL
+    def end(self, now: float, label: str) -> None:
+        """Close the series at ``now``; no stack is read."""
+        self._last_t = max(now, self._last_t)
 
     def _intern(self, frame: Frame) -> int:
         index = self._frame_index.get(frame)
@@ -275,121 +180,52 @@ class StackSampler:
             self._frames.append(frame)
         return index
 
-    def sample_once(self) -> int:
-        """Take one sample now; returns the folded stack's new count
-        (0 when the sample was dropped)."""
-        if not self._begun:
-            self.begin()
-            return self._sample_count
-        now = self._clock()
-        label = self._span_label()
-        reader = self._frame_reader
+    def read(self, now: float, label: str) -> int:
+        """Fold one stack under ``label``; returns the folded stack's new
+        count (0 when the sample was dropped)."""
         try:
-            raw = reader() if reader is not None else None
+            raw = self._frame_reader() if self._frame_reader else None
         except Exception:
             raw = None  # a torn frame walk is a dropped sample, not a crash
-        with self._lock:
-            self._sample_count += 1
-            self._last_t = max(now, self._last_t)
-            if not raw:
+        self._sample_count += 1
+        self._last_t = max(now, self._last_t)
+        if not raw:
+            self._dropped += 1
+            return 0
+        if len(raw) > self.max_depth:
+            raw = raw[-self.max_depth:]
+        key = (label, tuple(self._intern(frame) for frame in raw))
+        count = self._stacks.get(key)
+        if count is None:
+            if len(self._stacks) >= self.max_stacks:
                 self._dropped += 1
                 return 0
-            if len(raw) > self.max_depth:
-                raw = raw[-self.max_depth:]
-            key = (label, tuple(self._intern(frame) for frame in raw))
-            count = self._stacks.get(key)
-            if count is None:
-                if len(self._stacks) >= self.max_stacks:
-                    self._dropped += 1
-                    return 0
-                self._stacks[key] = 1
-                return 1
-            self._stacks[key] = count + 1
-            return count + 1
+            self._stacks[key] = 1
+            return 1
+        self._stacks[key] = count + 1
+        return count + 1
 
-    # -- serialisation ------------------------------------------------
-
-    def profile(self) -> Dict[str, Any]:
+    def document(self) -> Dict[str, Any]:
         """The ``repro.flame/v1`` document, as recorded so far."""
-        with self._lock:
-            stacks = [
+        return {
+            "schema": FLAME_SCHEMA,
+            "hz": self.hz,
+            "duration_s": round(max(self._last_t - self._t0, 0.0), 6),
+            "sample_count": self._sample_count,
+            "dropped_samples": self._dropped,
+            "frames": [
+                {"name": name, "file": file, "line": line}
+                for name, file, line in self._frames
+            ],
+            "stacks": [
                 {"stage": stage, "frames": list(indices), "count": count}
                 for (stage, indices), count in sorted(self._stacks.items())
-            ]
-            return {
-                "schema": FLAME_SCHEMA,
-                "hz": self.hz,
-                "duration_s": round(max(self._last_t - self._t0, 0.0), 6),
-                "sample_count": self._sample_count,
-                "dropped_samples": self._dropped,
-                "frames": [
-                    {"name": name, "file": file, "line": line}
-                    for name, file, line in self._frames
-                ],
-                "stacks": stacks,
-            }
+            ],
+        }
 
-
-class NullStackSampler:
-    """The disabled sampler: every operation is a cheap no-op."""
-
-    __slots__ = ()
-
-    def begin(self) -> None:
-        return None
-
-    def start(self) -> "NullStackSampler":
-        return self
-
-    def stop(self) -> None:
-        return None
-
-    def sample_once(self) -> int:
-        return 0
-
-    def profile(self) -> Dict[str, Any]:
-        return _empty_profile()
-
-    @property
-    def running(self) -> bool:
-        return False
-
-    def __enter__(self) -> "NullStackSampler":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-#: The process-wide null sampler (shared, stateless).
-NULL_STACK_SAMPLER = NullStackSampler()
-
-
-@contextmanager
-def sample_stacks(
-    hz: Optional[float],
-    *,
-    telemetry: Optional[Any] = None,
-    **kwargs: Any,
-) -> Iterator[Any]:
-    """Run a stack sampler around a block; a falsy ``hz`` is the null
-    mode.
-
-    ::
-
-        with obs.capture() as telemetry:
-            with sample_stacks(97.0, telemetry=telemetry):
-                run_pipeline()
-        telemetry.flame_profile  # repro.flame/v1
-    """
-    if not hz:
-        yield NULL_STACK_SAMPLER
-        return
-    sampler = StackSampler(hz, telemetry=telemetry, **kwargs)
-    try:
-        yield sampler.start()
-    finally:
-        sampler.stop()
+    def fold(self, existing: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """This table merged with ``existing`` (see :func:`merge_flame`)."""
+        return merge_flame(existing, self.document())
 
 
 # -- merging ----------------------------------------------------------
@@ -421,8 +257,8 @@ def merge_flame(
     ``hz``/``duration_s`` keep the maximum (host and workers sample
     concurrently, so durations overlap rather than add).
     """
-    if not isinstance(base, dict) or not base:
-        base = _empty_profile()
+    if not isinstance(base, dict):
+        base = {}
     frame_index: Dict[Frame, int] = {}
     frames: List[Frame] = []
     stacks: Dict[Tuple[str, Tuple[int, ...]], int] = {}

@@ -4,38 +4,31 @@ Span telemetry answers *where the time went*; tracemalloc gauges answer
 *which stage allocated the most Python objects*.  Neither can show a
 stage thrashing CPU, ballooning RSS through NumPy buffers (invisible to
 tracemalloc), or starving workers — resource usage *over time*.
-:class:`ResourceSampler` fills that gap: a daemon thread samples the
-process at a fixed cadence — RSS and CPU time from ``/proc/self/status``
-/ ``resource.getrusage`` (stdlib only, portable fallbacks), the traced
-Python heap when ``tracemalloc`` is active, GC generation counts and
-the currently-open span name — into a bounded in-memory ring buffer,
-and serialises the result as a ``repro.resource-profile/v1`` document:
-per-sample rows plus per-stage rollups (peak/mean RSS, CPU seconds,
-``cpu_util = cpu_time / wall_time``).
+:class:`ResourceReader` fills that gap: driven by the run's
+:class:`~repro.obs.sampler.Sampler` thread at a fixed cadence, it reads
+RSS and CPU time from ``/proc/self/status`` / ``resource.getrusage``
+(stdlib only, portable fallbacks), the traced Python heap when
+``tracemalloc`` is active, GC generation counts and the open span name
+into a bounded in-memory ring buffer, and serialises the result as a
+``repro.resource-profile/v1`` document: per-sample rows plus per-stage
+rollups (peak/mean RSS, CPU seconds, ``cpu_util = cpu_time /
+wall_time``).
 
-Lifecycle mirrors the rest of ``repro.obs``: context-managed, injected
-clock for deterministic tests, and a graceful null mode
-(:data:`NULL_SAMPLER` / :func:`sample_resources` with a falsy rate)
-that costs nothing when profiling is off.  Exec workers run their own
-sampler with ``keep_samples=False`` and ship only the rollups home;
-:meth:`repro.obs.telemetry.Telemetry.merge_snapshot` folds them into
-the host profile's ``workers`` list.
-
-This module deliberately imports nothing from the rest of ``repro.obs``
-(the registry imports *us* for :func:`profile_gauges`), and attaches to
-any telemetry object by duck typing: it reads ``current_span_name`` and
-writes ``resource_profile``.
+Exec workers read with ``keep_samples=False`` and ship only the
+rollups home, where :func:`fold_resources` lists them per worker
+process under the host profile's ``workers``.  This module imports
+nothing from the rest of ``repro.obs`` (the registry imports *us* for
+:func:`profile_gauges` and :func:`fold_resources`).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
-import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 try:  # POSIX-only; Windows falls back to time.process_time.
     import resource as _resource
@@ -69,9 +62,6 @@ DEFAULT_HZ = 10.0
 #: Ring-buffer capacity: at 10 Hz this holds ~7 minutes of samples;
 #: longer runs overwrite the oldest rows (rollups keep full coverage).
 DEFAULT_MAX_SAMPLES = 4096
-
-#: Stage label of samples taken while no span is open.
-TOP_LABEL = "(top)"
 
 #: Budget keys and the totals metric each one bounds.
 _BUDGET_KEYS = (
@@ -155,24 +145,25 @@ def _serialise_rollup(rollup: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
-class ResourceSampler:
-    """Samples process resources on a daemon thread at ``hz``.
+class ResourceReader:
+    """Reads process RSS, CPU time and heap for a
+    :class:`~repro.obs.sampler.Sampler`.
 
-    ``telemetry`` (optional, duck-typed) supplies the open-span label
-    per sample (``current_span_name``) and receives the finished
-    profile on :meth:`stop` (``resource_profile``).  ``clock``,
-    ``rss_reader``, ``cpu_reader`` and ``heap_reader`` are injectable
-    for deterministic tests; :meth:`sample_once` can drive the sampler
-    without any thread.  ``keep_samples=False`` records rollups only —
-    the mode exec workers use so shipping a profile home stays cheap.
+    Each reading is one row in a bounded ring buffer and adds to the
+    rollups of the span it was taken in and of the whole run.  Readings
+    bracket the run: one at begin, one per tick at ``hz``, one at end.
+    ``keep_samples=False`` records rollups only — the mode exec workers
+    use so shipping a profile home stays cheap.  ``rss_reader``,
+    ``cpu_reader`` and ``heap_reader`` are injectable for deterministic
+    tests.
     """
+
+    section = "resource_profile"
 
     def __init__(
         self,
         hz: float = DEFAULT_HZ,
         *,
-        telemetry: Optional[Any] = None,
-        clock: Callable[[], float] = time.perf_counter,
         max_samples: int = DEFAULT_MAX_SAMPLES,
         keep_samples: bool = True,
         rss_reader: Optional[Callable[[], float]] = None,
@@ -186,16 +177,9 @@ class ResourceSampler:
         self.hz = float(hz)
         self.max_samples = max_samples
         self.keep_samples = keep_samples
-        self._telemetry = telemetry
-        self._clock = clock
         self._rss_reader = rss_reader or default_rss_reader
         self._cpu_reader = cpu_reader or default_cpu_reader
         self._heap_reader = heap_reader or default_heap_reader
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._begun = False
-        self._stopped = False
         self._samples: List[Dict[str, Any]] = []
         self._ring_next = 0
         self._dropped = 0
@@ -207,91 +191,21 @@ class ResourceSampler:
         self._last_t = 0.0
         self._last_cpu = 0.0
 
-    # -- lifecycle ----------------------------------------------------
+    def begin(self, now: float, label: str) -> None:
+        """Anchor the time bases and take the first reading."""
+        self._t0 = self._last_t = now
+        self._cpu0 = self._last_cpu = self._cpu_reader()
+        self.read(now, label)
 
-    def begin(self) -> None:
-        """Anchor the time bases and take the first sample (idempotent).
+    def end(self, now: float, label: str) -> None:
+        """Take the final reading."""
+        self.read(now, label)
 
-        Separate from :meth:`start` so deterministic tests can drive
-        :meth:`sample_once` without a thread.
-        """
-        if self._begun:
-            return
-        self._begun = True
-        self._t0 = self._clock()
-        self._cpu0 = self._cpu_reader()
-        self._last_t = self._t0
-        self._last_cpu = self._cpu0
-        self.sample_once()
-
-    def start(self) -> "ResourceSampler":
-        """Begin sampling and launch the daemon thread."""
-        self.begin()
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run,
-                name="repro-resource-sampler",
-                daemon=True,
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the thread, take a final sample, attach the profile.
-
-        Idempotent.  The profile lands on the attached telemetry as
-        ``resource_profile`` (worker rollups already folded in by
-        ``merge_snapshot`` are preserved under ``workers``).
-        """
-        if self._stopped:
-            return
-        self._stopped = True
-        self._stop_event.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        if self._begun:
-            self.sample_once()
-        telemetry = self._telemetry
-        if telemetry is not None and getattr(telemetry, "enabled", False):
-            document = self.profile()
-            existing = getattr(telemetry, "resource_profile", None)
-            if isinstance(existing, dict) and existing.get("workers"):
-                document["workers"] = existing["workers"]
-            telemetry.resource_profile = document
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> bool:
-        self.stop()
-        return False
-
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _run(self) -> None:
-        period = 1.0 / self.hz
-        while not self._stop_event.wait(period):
-            self.sample_once()
-
-    # -- sampling -----------------------------------------------------
-
-    def _span_label(self) -> str:
-        name = getattr(self._telemetry, "current_span_name", "")
-        return name or TOP_LABEL
-
-    def sample_once(self) -> Dict[str, Any]:
-        """Take one sample now; safe from any thread."""
-        if not self._begun:
-            self.begin()
-            return self._samples[-1] if self._samples else {}
-        now = self._clock()
+    def read(self, now: float, label: str) -> Dict[str, Any]:
+        """Take one reading attributed to ``label``; returns its row."""
         rss_kib = float(self._rss_reader())
         cpu = float(self._cpu_reader())
         heap_kib = self._heap_reader()
-        label = self._span_label()
         row: Dict[str, Any] = {
             "t_s": round(max(now - self._t0, 0.0), 6),
             "rss_kib": round(rss_kib, 1),
@@ -300,155 +214,168 @@ class ResourceSampler:
             "gc": list(gc.get_count()),
             "span": label,
         }
-        with self._lock:
-            self._sample_count += 1
-            if self.keep_samples:
-                if len(self._samples) < self.max_samples:
-                    self._samples.append(row)
-                else:
-                    self._samples[self._ring_next] = row
-                    self._ring_next = (self._ring_next + 1) % self.max_samples
-                    self._dropped += 1
-            dt = max(now - self._last_t, 0.0)
-            dcpu = max(cpu - self._last_cpu, 0.0)
-            self._last_t = now
-            self._last_cpu = cpu
-            for rollup in (
-                self._stages.setdefault(label, _new_rollup()),
-                self._total,
-            ):
-                rollup["samples"] += 1
-                rollup["rss_peak_kib"] = max(rollup["rss_peak_kib"], rss_kib)
-                rollup["rss_sum_kib"] += rss_kib
-                rollup["cpu_s"] += dcpu
-                rollup["wall_s"] += dt
-                if heap_kib is not None:
-                    peak = rollup["heap_peak_kib"]
-                    rollup["heap_peak_kib"] = (
-                        heap_kib if peak is None else max(peak, heap_kib)
-                    )
+        self._sample_count += 1
+        if self.keep_samples:
+            if len(self._samples) < self.max_samples:
+                self._samples.append(row)
+            else:
+                self._samples[self._ring_next] = row
+                self._ring_next = (self._ring_next + 1) % self.max_samples
+                self._dropped += 1
+        dt = max(now - self._last_t, 0.0)
+        dcpu = max(cpu - self._last_cpu, 0.0)
+        self._last_t = now
+        self._last_cpu = cpu
+        for rollup in (
+            self._stages.setdefault(label, _new_rollup()),
+            self._total,
+        ):
+            rollup["samples"] += 1
+            rollup["rss_peak_kib"] = max(rollup["rss_peak_kib"], rss_kib)
+            rollup["rss_sum_kib"] += rss_kib
+            rollup["cpu_s"] += dcpu
+            rollup["wall_s"] += dt
+            if heap_kib is not None:
+                peak = rollup["heap_peak_kib"]
+                rollup["heap_peak_kib"] = (
+                    heap_kib if peak is None else max(peak, heap_kib)
+                )
         return row
 
-    # -- serialisation ------------------------------------------------
-
-    def profile(self, include_samples: bool = True) -> Dict[str, Any]:
-        """The ``repro.resource-profile/v1`` document, as recorded so far."""
-        with self._lock:
-            if self.keep_samples and include_samples:
-                samples = list(
-                    self._samples[self._ring_next:]
-                    + self._samples[: self._ring_next]
-                )
-            else:
-                samples = []
-            stages = {
-                name: _serialise_rollup(rollup)
-                for name, rollup in self._stages.items()
-            }
-            duration_s = max(self._last_t - self._t0, 0.0)
-            cpu_s = max(self._last_cpu - self._cpu0, 0.0)
-            totals: Dict[str, Any] = {
-                "duration_s": round(duration_s, 6),
-                "cpu_s": round(cpu_s, 6),
-                "cpu_util": (
-                    round(cpu_s / duration_s, 4) if duration_s > 0 else 0.0
-                ),
-                "rss_peak_kib": round(float(self._total["rss_peak_kib"]), 1),
-                "rss_mean_kib": round(
-                    float(self._total["rss_sum_kib"]) / self._total["samples"]
-                    if self._total["samples"] else 0.0,
-                    1,
-                ),
-            }
-            if self._total["heap_peak_kib"] is not None:
-                totals["heap_peak_kib"] = round(
-                    float(self._total["heap_peak_kib"]), 1
-                )
-            return {
-                "schema": RESOURCE_PROFILE_SCHEMA,
-                "hz": self.hz,
-                "sample_count": self._sample_count,
-                "dropped_samples": self._dropped,
-                "samples": samples,
-                "stages": stages,
-                "totals": totals,
-            }
-
-    def rollups(self) -> Dict[str, Any]:
-        """The profile without per-sample rows (bounded size)."""
-        return self.profile(include_samples=False)
-
-
-class NullResourceSampler:
-    """The disabled sampler: every operation is a cheap no-op."""
-
-    __slots__ = ()
-
-    def begin(self) -> None:
-        return None
-
-    def start(self) -> "NullResourceSampler":
-        return self
-
-    def stop(self) -> None:
-        return None
-
-    def sample_once(self) -> Dict[str, Any]:
-        return {}
-
-    def profile(self, include_samples: bool = True) -> Dict[str, Any]:
+    def document(self) -> Dict[str, Any]:
+        """The ``repro.resource-profile/v1`` document, as recorded so
+        far; ``pid`` names the process that recorded it."""
+        samples = (
+            self._samples[self._ring_next:] + self._samples[: self._ring_next]
+        )
+        stages = {
+            name: _serialise_rollup(rollup)
+            for name, rollup in self._stages.items()
+        }
+        duration_s = max(self._last_t - self._t0, 0.0)
+        cpu_s = max(self._last_cpu - self._cpu0, 0.0)
+        totals: Dict[str, Any] = {
+            "duration_s": round(duration_s, 6),
+            "cpu_s": round(cpu_s, 6),
+            "cpu_util": (
+                round(cpu_s / duration_s, 4) if duration_s > 0 else 0.0
+            ),
+            "rss_peak_kib": round(float(self._total["rss_peak_kib"]), 1),
+            "rss_mean_kib": round(
+                float(self._total["rss_sum_kib"]) / self._total["samples"]
+                if self._total["samples"] else 0.0,
+                1,
+            ),
+        }
+        if self._total["heap_peak_kib"] is not None:
+            totals["heap_peak_kib"] = round(
+                float(self._total["heap_peak_kib"]), 1
+            )
         return {
             "schema": RESOURCE_PROFILE_SCHEMA,
-            "hz": 0.0,
-            "sample_count": 0,
-            "dropped_samples": 0,
-            "samples": [],
-            "stages": {},
-            "totals": {},
+            "hz": self.hz,
+            "pid": os.getpid(),
+            "sample_count": self._sample_count,
+            "dropped_samples": self._dropped,
+            "samples": samples,
+            "stages": stages,
+            "totals": totals,
         }
 
-    def rollups(self) -> Dict[str, Any]:
-        return self.profile(include_samples=False)
-
-    @property
-    def running(self) -> bool:
-        return False
-
-    def __enter__(self) -> "NullResourceSampler":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
+    def fold(self, existing: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """This host profile folded over ``existing`` (see
+        :func:`fold_resources`)."""
+        return fold_resources(existing, self.document())
 
 
-#: The process-wide null sampler (shared, stateless).
-NULL_SAMPLER = NullResourceSampler()
+# -- folding ----------------------------------------------------------
 
 
-@contextmanager
-def sample_resources(
-    hz: Optional[float],
+def fold_resources(
+    base: Optional[Dict[str, Any]],
+    incoming: Dict[str, Any],
     *,
-    telemetry: Optional[Any] = None,
-    **kwargs: Any,
-) -> Iterator[Any]:
-    """Run a sampler around a block; a falsy ``hz`` is the null mode.
+    worker: bool = False,
+) -> Dict[str, Any]:
+    """Fold one resource profile into another (a fresh document).
 
-    ::
-
-        with obs.capture() as telemetry:
-            with sample_resources(10.0, telemetry=telemetry):
-                run_pipeline()
-        telemetry.resource_profile  # repro.resource-profile/v1
+    The one fold for ``repro.resource-profile/v1``, used both when a
+    host sampler stops and when ``merge_snapshot`` brings a worker's
+    profile home.  A host profile (``worker=False``) becomes the body
+    of the result; a worker profile becomes one entry of its
+    ``workers`` list.  The ``workers`` of both documents are kept, and
+    an entry whose ``pid`` is already listed merges into that entry (a
+    worker process that ran several chunks is one worker): samples, CPU
+    and wall seconds add, RSS and heap peaks take the maximum, the RSS
+    mean is weighted by samples and ``cpu_util`` is recomputed.
+    Entries without a ``pid`` are appended.
     """
-    if not hz:
-        yield NULL_SAMPLER
-        return
-    sampler = ResourceSampler(hz, telemetry=telemetry, **kwargs)
-    try:
-        yield sampler.start()
-    finally:
-        sampler.stop()
+    folded = dict(base) if base else {
+        "schema": RESOURCE_PROFILE_SCHEMA,
+        "hz": float(incoming.get("hz", 0.0)),
+        "sample_count": 0,
+        "dropped_samples": 0,
+        "samples": [],
+        "stages": {},
+        "totals": {},
+    }
+    entries = [*folded.pop("workers", ()), *incoming.get("workers", ())]
+    if worker:
+        entries.append({
+            key: value for key, value in incoming.items()
+            if key in ("pid", "sample_count", "stages", "totals")
+        })
+    else:
+        folded.update(incoming)
+    workers: List[Dict[str, Any]] = []
+    for entry in entries:
+        pid = entry.get("pid")
+        listed = next(
+            (w for w in workers if pid is not None and w.get("pid") == pid),
+            None,
+        )
+        if listed is None:
+            workers.append(dict(entry, worker=len(workers)))
+            continue
+        count = listed.get("sample_count", 0)
+        extra = entry.get("sample_count", 0)
+        stages = dict(listed.get("stages") or {})
+        for name, rollup in (entry.get("stages") or {}).items():
+            mine = stages.get(name)
+            stages[name] = rollup if mine is None else _merge_rollups(
+                mine, rollup, mine["samples"], rollup["samples"], "wall_s"
+            )
+        totals = _merge_rollups(
+            listed.get("totals") or {}, entry.get("totals") or {},
+            count, extra, "duration_s",
+        )
+        del totals["samples"]
+        listed.update(stages=stages, totals=totals, sample_count=count + extra)
+    if workers:
+        folded["workers"] = workers
+    return folded
+
+
+def _merge_rollups(
+    a: Dict[str, Any], b: Dict[str, Any], a_samples: int, b_samples: int,
+    wall_key: str,
+) -> Dict[str, Any]:
+    """Two serialised rollups of one process as one (``wall_key`` names
+    their wall-seconds field)."""
+    heaps = [r["heap_peak_kib"] for r in (a, b) if "heap_peak_kib" in r]
+    merged = _serialise_rollup({
+        "samples": a_samples + b_samples,
+        "rss_peak_kib": max(
+            a.get("rss_peak_kib", 0.0), b.get("rss_peak_kib", 0.0)
+        ),
+        "rss_sum_kib": a.get("rss_mean_kib", 0.0) * a_samples
+        + b.get("rss_mean_kib", 0.0) * b_samples,
+        "cpu_s": a.get("cpu_s", 0.0) + b.get("cpu_s", 0.0),
+        "wall_s": a.get(wall_key, 0.0) + b.get(wall_key, 0.0),
+        "heap_peak_kib": max(heaps) if heaps else None,
+    })
+    merged[wall_key] = merged.pop("wall_s")
+    return merged
 
 
 # -- derived gauges ---------------------------------------------------

@@ -47,7 +47,7 @@ from . import events as _events
 from .lineage import FunnelStage, ReasonLike
 from .prof import flame_gauges, merge_flame
 from .quality import QuantileDigest
-from .resources import RESOURCE_PROFILE_SCHEMA, profile_gauges
+from .resources import fold_resources, profile_gauges
 
 #: The snapshot sections this registry version owns.  Anything else in
 #: a merged worker snapshot is an unknown (newer-version) section and
@@ -150,13 +150,12 @@ class Telemetry:
         self.gauges: Dict[str, float] = {}
         self.funnel: Dict[str, FunnelStage] = {}  # insertion = run order
         self.quality: Dict[str, QuantileDigest] = {}
-        #: ``repro.resource-profile/v1`` document attached by a
-        #: :class:`repro.obs.resources.ResourceSampler` on stop (None
-        #: when the run was not profiled).
+        #: ``repro.resource-profile/v1`` document folded in by a
+        #: :class:`repro.obs.sampler.Sampler` on stop or by
+        #: :meth:`merge_snapshot` (None when the run was not profiled).
         self.resource_profile: Optional[Dict[str, Any]] = None
-        #: ``repro.flame/v1`` document attached by a
-        #: :class:`repro.obs.prof.StackSampler` on stop (None when the
-        #: run's stacks were not sampled).
+        #: ``repro.flame/v1`` document folded in the same two ways (None
+        #: when the run's stacks were not sampled).
         self.flame_profile: Optional[Dict[str, Any]] = None
         # Unknown snapshot sections preserved from merged workers.
         self._extra_sections: Dict[str, Any] = {}
@@ -165,8 +164,8 @@ class Telemetry:
     def current_span_name(self) -> str:
         """Name of the innermost open span ("" at top level).
 
-        Read by the resource sampler's thread to label samples; a bare
-        list-tail read, safe under the GIL.
+        Read by the sampler thread to label readings; a bare list-tail
+        read, safe under the GIL.
         """
         return self._stack[-1].name
 
@@ -312,14 +311,16 @@ class Telemetry:
                 digest = QuantileDigest()
                 self.quality[name] = digest
             digest.merge_dict(digest_dict)
+        # Worker profiles go through the same fold as the host sampler's
+        # stop: resource rollups land under ``workers`` (one entry per
+        # worker process), flame tables add per (stage, stack) key.
         profile = snapshot.get("resource_profile")
         if isinstance(profile, dict) and profile:
-            self._fold_worker_profile(profile)
+            self.resource_profile = fold_resources(
+                self.resource_profile, profile, worker=True
+            )
         flame = snapshot.get("flame_profile")
         if isinstance(flame, dict) and flame:
-            # Worker stack tables fold straight into the host table:
-            # counts add per (stage, stack) key, stage attribution is
-            # preserved, so --workers N still yields one flamegraph.
             self.flame_profile = merge_flame(self.flame_profile, flame)
         # Forward compatibility: a worker built by a newer version may
         # ship sections this registry does not know.  Preserve them
@@ -339,45 +340,6 @@ class Telemetry:
                 self._extra_sections[key] = list(value)
             else:
                 self._extra_sections[key] = value
-
-    def _fold_worker_profile(self, profile: Dict[str, Any]) -> None:
-        """Fold a worker's resource profile under ``workers``.
-
-        Workers ship rollups only (no sample rows); each becomes one
-        numbered entry in the host profile's ``workers`` list.  When
-        the host itself is not being sampled, a shell document is
-        created so the rollups still reach reports — and a host sampler
-        stopping later preserves the list (see
-        :meth:`repro.obs.resources.ResourceSampler.stop`).
-        """
-        host = self.resource_profile
-        if host is None:
-            host = {
-                "schema": RESOURCE_PROFILE_SCHEMA,
-                "hz": float(profile.get("hz", 0.0)),
-                "sample_count": 0,
-                "dropped_samples": 0,
-                "samples": [],
-                "stages": {},
-                "totals": {},
-            }
-            self.resource_profile = host
-        workers: List[Dict[str, Any]] = host.setdefault("workers", [])
-        for nested in profile.get("workers", ()):
-            if isinstance(nested, dict):
-                entry = dict(nested)
-                entry["worker"] = len(workers)
-                workers.append(entry)
-        workers.append({
-            "worker": len(workers),
-            "sample_count": int(profile.get("sample_count", 0)),
-            "stages": {
-                name: dict(rollup)
-                for name, rollup in (profile.get("stages") or {}).items()
-                if isinstance(rollup, dict)
-            },
-            "totals": dict(profile.get("totals") or {}),
-        })
 
 
 def _merge_span_dict(parent: SpanNode, data: Dict[str, Any]) -> None:

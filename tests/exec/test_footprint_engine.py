@@ -146,19 +146,34 @@ class TestWorkerResourceProfiles:
     def test_profiled_parallel_run_ships_worker_rollups(
         self, small_scenario, jobs, serial_artifacts
     ):
+        shipped = []
+
+        class Recording(obs.Telemetry):
+            def merge_snapshot(self, snapshot):
+                shipped.append(snapshot["resource_profile"])
+                super().merge_snapshot(snapshot)
+
         engine = FootprintEngine(
             small_scenario.gazetteer,
             ParallelConfig(workers=2, chunk_size=2, profile_hz=200.0),
         )
-        with obs.capture() as telemetry:
+        with obs.capture(Recording()) as telemetry:
             artifacts = engine.run(jobs)
         assert_same_artifacts(artifacts, serial_artifacts)
+        assert len(shipped) == 3  # one rollup set per chunk
         profile = telemetry.snapshot()["resource_profile"]
-        # One rollup set per chunk; samples stay worker-side.
-        assert len(profile["workers"]) == 3
+        # One entry per worker process; samples stay worker-side.
+        pids = {document["pid"] for document in shipped}
+        assert sorted(w["pid"] for w in profile["workers"]) == sorted(pids)
         assert profile["samples"] == []
         for worker in profile["workers"]:
-            assert worker["sample_count"] >= 1
+            assert worker["sample_count"] == sum(
+                document["sample_count"] for document in shipped
+                if document["pid"] == worker["pid"]
+            )
+            assert sum(
+                rollup["samples"] for rollup in worker["stages"].values()
+            ) == worker["sample_count"]
             assert worker["totals"].get("rss_peak_kib", 0.0) >= 0.0
 
     def test_unprofiled_run_has_no_profile_section(

@@ -94,6 +94,22 @@ class TestFlamedRun:
         assert "flame profile:" in summary
         assert "sampled at 400 Hz" in summary
 
+    def test_no_leaf_frame_is_arming_code(self, flamed_run):
+        # Stacks are read on sampler ticks only: a read inside the
+        # arming call would see nothing but contextlib and the sampler.
+        _, flame_path = flamed_run
+        profile = json.loads(flame_path.read_text())
+        frames = profile["frames"]
+        leaves = {
+            frames[stack["frames"][-1]]["file"]
+            for stack in profile["stacks"] if stack["frames"]
+        }
+        assert leaves
+        assert not [
+            leaf for leaf in leaves
+            if leaf.endswith(("contextlib.py", "obs/sampler.py"))
+        ]
+
 
 class TestStatsFlame:
     def test_renders_top_frames(self, flamed_run, capsys):

@@ -92,6 +92,30 @@ class TestStatsCommand:
         assert "cli.stats" in _span_names(report)
 
 
+class TestStatsProfilingFlags:
+    """Bare ``stats`` with sampling flags: the ``make profile`` path,
+    where main() arms telemetry and the sampler for the run."""
+
+    def run_stats(self, capsys, *flags):
+        status = main([*flags, "stats", "--profile-ases", "1"])
+        assert status == 0
+        return capsys.readouterr().out
+
+    def test_profile_resources_prints_the_resource_profile(self, capsys):
+        out = self.run_stats(capsys, "--profile-resources", "--seed", "81")
+        assert "resource profile:" in out
+        assert "sampled at 10 Hz" in out
+
+    def test_flame_hz_prints_the_flame_profile(self, capsys):
+        out = self.run_stats(capsys, "--flame-hz", "200", "--seed", "82")
+        assert "flame profile:" in out
+        assert "sampled at 200 Hz" in out
+
+    def test_memory_prints_the_peak_gauges(self, capsys):
+        out = self.run_stats(capsys, "--memory", "--seed", "83")
+        assert "memory.peak_kib.scenario.build" in out
+
+
 class TestVersionAndLogging:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

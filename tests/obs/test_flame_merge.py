@@ -118,3 +118,15 @@ class TestParallelRun:
         stages = set(stage_samples(parallel_flame))
         assert stages  # at least the host's cli/table1 spans sampled
         assert all(isinstance(stage, str) and stage for stage in stages)
+
+    def test_no_leaf_frame_is_arming_code(self, parallel_flame):
+        # Neither the host nor any worker chunk records its own arming.
+        frames = parallel_flame["frames"]
+        leaves = {
+            frames[stack["frames"][-1]]["file"]
+            for stack in parallel_flame["stacks"] if stack["frames"]
+        }
+        assert not [
+            leaf for leaf in leaves
+            if leaf.endswith(("contextlib.py", "obs/sampler.py"))
+        ]

@@ -143,15 +143,6 @@ class TestCliStatsHistory:
         assert "bench4" in out and "bench3" in out
         assert "bench2" not in out
 
-    def test_limit_takes_precedence_over_last(self, history_path, capsys):
-        from repro.cli import main
-
-        assert main(["stats", "history", "--path", str(history_path),
-                     "--last", "5", "--limit", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "bench4" in out
-        assert "bench3" not in out
-
     def test_json_format_emits_raw_entries(self, history_path, capsys):
         from repro.cli import main
 

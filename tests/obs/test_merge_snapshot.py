@@ -218,6 +218,39 @@ class TestWorkerResourceProfiles:
         assert [w["worker"] for w in workers] == [0, 1]
         assert 9.0 in [w["totals"].get("cpu_s") for w in workers]
 
+    def test_chunks_of_one_worker_process_merge_into_one_entry(self, clock):
+        def chunk(pid, samples, cpu, wall, rss_peak, rss_mean, heap=None):
+            rollup = {"samples": samples, "cpu_s": cpu, "wall_s": wall,
+                      "rss_peak_kib": rss_peak, "rss_mean_kib": rss_mean}
+            totals = {"cpu_s": cpu, "duration_s": wall,
+                      "rss_peak_kib": rss_peak, "rss_mean_kib": rss_mean}
+            if heap is not None:
+                rollup["heap_peak_kib"] = totals["heap_peak_kib"] = heap
+            return {"resource_profile": {
+                "schema": "repro.resource-profile/v1", "hz": 10.0,
+                "pid": pid, "sample_count": samples, "dropped_samples": 0,
+                "samples": [], "stages": {"kde.evaluate": rollup},
+                "totals": totals,
+            }}
+
+        parent = Telemetry(clock=clock)
+        parent.merge_snapshot(chunk(7, 2, 1.0, 2.0, 3000.0, 1000.0))
+        parent.merge_snapshot(chunk(8, 5, 9.0, 9.0, 9000.0, 9000.0))
+        parent.merge_snapshot(chunk(7, 6, 2.0, 2.0, 2000.0, 2000.0, 64.0))
+        workers = parent.snapshot()["resource_profile"]["workers"]
+        assert [(w["worker"], w["pid"]) for w in workers] == [(0, 7), (1, 8)]
+        merged = workers[0]
+        assert merged["sample_count"] == 8
+        for rollup in (merged["stages"]["kde.evaluate"], merged["totals"]):
+            assert rollup["cpu_s"] == pytest.approx(3.0)
+            assert rollup["rss_peak_kib"] == 3000.0
+            assert rollup["rss_mean_kib"] == pytest.approx(1750.0)
+            assert rollup["cpu_util"] == pytest.approx(0.75)
+            assert rollup["heap_peak_kib"] == 64.0
+        assert merged["stages"]["kde.evaluate"]["samples"] == 8
+        assert merged["stages"]["kde.evaluate"]["wall_s"] == 4.0
+        assert merged["totals"]["duration_s"] == 4.0
+
     def test_shell_host_document_when_host_unprofiled(self, clock):
         parent = Telemetry(clock=clock)
         parent.merge_snapshot({"resource_profile": self.worker_profile()})

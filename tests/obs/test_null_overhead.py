@@ -200,21 +200,22 @@ class TestResourceSamplingIsNullSafe:
     in play and experiment output is byte-identical."""
 
     def test_null_sampler_is_slotted_and_stateless(self):
-        from repro.obs.resources import NULL_SAMPLER, NullResourceSampler
+        from repro.obs.sampler import sample
 
-        assert NullResourceSampler.__slots__ == ()
-        assert not hasattr(NULL_SAMPLER, "__dict__")
+        with sample(profile_hz=None) as null:
+            assert type(null).__slots__ == ()
+            assert not hasattr(null, "__dict__")
 
     def test_falsy_hz_yields_the_shared_singleton(self):
-        from repro.obs.resources import NULL_SAMPLER, sample_resources
+        from repro.obs.sampler import NULL_SAMPLER, sample
 
-        with sample_resources(None) as first:
-            with sample_resources(0.0) as second:
+        with sample(profile_hz=None) as first:
+            with sample(profile_hz=0.0) as second:
                 assert first is NULL_SAMPLER
                 assert second is NULL_SAMPLER
 
     def test_null_sampling_allocates_no_lasting_memory(self):
-        from repro.obs.resources import NULL_SAMPLER, sample_resources
+        from repro.obs.sampler import NULL_SAMPLER, sample
 
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
@@ -222,8 +223,8 @@ class TestResourceSamplingIsNullSafe:
         try:
             baseline, _ = tracemalloc.get_traced_memory()
             for _ in range(10_000):
-                with sample_resources(None):
-                    NULL_SAMPLER.sample_once()
+                with sample(profile_hz=None):
+                    NULL_SAMPLER.documents()
             current, _ = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:
@@ -251,25 +252,26 @@ class TestResourceSamplingIsNullSafe:
 
 class TestStackSamplingIsNullSafe:
     """The PR 10 stack profiler shares the same budget: with no
-    --flame-out the shared null stack sampler is the only object in
-    play and no sampler thread ever starts."""
+    --flame-out the shared null sampler is the only object in play and
+    no sampler thread ever starts."""
 
     def test_null_stack_sampler_is_slotted_and_stateless(self):
-        from repro.obs.prof import NULL_STACK_SAMPLER, NullStackSampler
+        from repro.obs.sampler import sample
 
-        assert NullStackSampler.__slots__ == ()
-        assert not hasattr(NULL_STACK_SAMPLER, "__dict__")
+        with sample(flame_hz=None) as null:
+            assert type(null).__slots__ == ()
+            assert not hasattr(null, "__dict__")
 
     def test_falsy_hz_yields_the_shared_singleton(self):
-        from repro.obs.prof import NULL_STACK_SAMPLER, sample_stacks
+        from repro.obs.sampler import NULL_SAMPLER, sample
 
-        with sample_stacks(None) as first:
-            with sample_stacks(0.0) as second:
-                assert first is NULL_STACK_SAMPLER
-                assert second is NULL_STACK_SAMPLER
+        with sample(flame_hz=None) as first:
+            with sample(flame_hz=0.0) as second:
+                assert first is NULL_SAMPLER
+                assert second is NULL_SAMPLER
 
     def test_null_stack_sampling_allocates_no_lasting_memory(self):
-        from repro.obs.prof import NULL_STACK_SAMPLER, sample_stacks
+        from repro.obs.sampler import NULL_SAMPLER, sample
 
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
@@ -277,8 +279,8 @@ class TestStackSamplingIsNullSafe:
         try:
             baseline, _ = tracemalloc.get_traced_memory()
             for _ in range(10_000):
-                with sample_stacks(None):
-                    NULL_STACK_SAMPLER.sample_once()
+                with sample(flame_hz=0.0):
+                    NULL_SAMPLER.documents()
             current, _ = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:

@@ -1,7 +1,7 @@
 """The sampling stack profiler: folding, merging, diffing, exporting.
 
-Everything deterministic runs on an injected clock + frame reader (the
-``ResourceSampler`` testing idiom); one test drives the real daemon
+Everything deterministic runs on explicit timestamps or an injected
+clock plus a scripted frame reader; one test drives the real sampler
 thread against a busy loop to cover the default ``sys._current_frames``
 reader end to end.
 """
@@ -16,24 +16,22 @@ from repro.obs.prof import (
     DEFAULT_HZ,
     FLAME_DIFF_SCHEMA,
     FLAME_SCHEMA,
-    NULL_STACK_SAMPLER,
     FrameShift,
-    NullStackSampler,
-    StackSampler,
+    StackReader,
     diff_flame,
     flame_gauges,
     merge_flame,
     render_collapsed,
     render_flame,
     render_speedscope,
-    sample_stacks,
     stage_self_shares,
     top_frames,
     validate_flame,
 )
+from repro.obs.sampler import NULL_SAMPLER, Sampler, sample
 
 
-def ticking_clock(step=0.01):
+def ticking_clock(step=0.1):
     """A deterministic monotonic clock advancing ``step`` per call."""
     state = {"t": 0.0}
 
@@ -54,6 +52,14 @@ def fixed_reader(*frames):
     return read
 
 
+def read_stacks(reader, count, stage="x.y"):
+    """Begin ``reader`` and take ``count`` readings under ``stage``."""
+    reader.begin(0.0, stage)
+    for index in range(count):
+        reader.read(0.01 * (index + 1), stage)
+    return reader.document()
+
+
 class SpanStub:
     """Duck-typed telemetry: a settable open-span label."""
 
@@ -71,15 +77,10 @@ F_LEAF = ("leaf", "repro/net/lpm.py", 7)
 
 class TestSampling:
     def test_samples_fold_into_one_counted_stack(self):
-        sampler = StackSampler(
-            hz=50.0,
-            clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN, F_WORK, F_LEAF),
+        reader = StackReader(
+            hz=50.0, frame_reader=fixed_reader(F_MAIN, F_WORK, F_LEAF)
         )
-        sampler.begin()  # takes the first sample
-        for _ in range(4):
-            sampler.sample_once()
-        profile = sampler.profile()
+        profile = read_stacks(reader, 5)
         assert profile["schema"] == FLAME_SCHEMA
         assert profile["sample_count"] == 5
         assert profile["dropped_samples"] == 0
@@ -92,133 +93,130 @@ class TestSampling:
         assert validate_flame(profile) == []
 
     def test_duration_tracks_the_injected_clock(self):
-        sampler = StackSampler(
-            hz=50.0, clock=ticking_clock(0.5), frame_reader=fixed_reader(F_MAIN)
+        sampler = Sampler(
+            [StackReader(hz=5.0, frame_reader=fixed_reader(F_MAIN))],
+            clock=ticking_clock(0.5),
         )
-        # Three clock reads: t0, begin's sample, one explicit sample.
+        # Three clock reads: begin's anchor, then two due ticks.
         sampler.begin()
-        sampler.sample_once()
-        assert sampler.profile()["duration_s"] == pytest.approx(1.0)
+        sampler.tick()
+        sampler.tick()
+        profile = sampler.documents()["flame_profile"]
+        assert profile["sample_count"] == 2
+        assert profile["duration_s"] == pytest.approx(1.0)
 
     def test_stage_attribution_follows_the_open_span(self):
         telemetry = SpanStub("pipeline.mapping")
-        sampler = StackSampler(
-            hz=50.0,
+        sampler = Sampler(
+            [StackReader(hz=50.0, frame_reader=fixed_reader(F_MAIN))],
             telemetry=telemetry,
             clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN),
         )
         sampler.begin()
+        sampler.tick()
         telemetry.current_span_name = "pipeline.classify"
-        sampler.sample_once()
-        stages = [s["stage"] for s in sampler.profile()["stacks"]]
+        sampler.tick()
+        profile = sampler.documents()["flame_profile"]
+        stages = [s["stage"] for s in profile["stacks"]]
         assert stages == ["pipeline.classify", "pipeline.mapping"]
 
     def test_no_span_buckets_under_the_top_label(self):
-        sampler = StackSampler(
-            hz=50.0, clock=ticking_clock(), frame_reader=fixed_reader(F_MAIN)
+        sampler = Sampler(
+            [StackReader(hz=50.0, frame_reader=fixed_reader(F_MAIN))],
+            clock=ticking_clock(),
         )
         sampler.begin()
-        assert sampler.profile()["stacks"][0]["stage"] == "(top)"
+        sampler.tick()
+        profile = sampler.documents()["flame_profile"]
+        assert profile["stacks"][0]["stage"] == "(top)"
 
     def test_deep_stacks_keep_the_leafmost_frames(self):
         deep = [(f"f{i}", "repro/deep.py", i + 1) for i in range(50)]
-        sampler = StackSampler(
-            hz=50.0,
-            clock=ticking_clock(),
-            max_depth=5,
-            frame_reader=fixed_reader(*deep),
+        reader = StackReader(
+            hz=50.0, max_depth=5, frame_reader=fixed_reader(*deep)
         )
-        sampler.begin()
-        profile = sampler.profile()
+        profile = read_stacks(reader, 1)
         (stack,) = profile["stacks"]
         names = [profile["frames"][i]["name"] for i in stack["frames"]]
         assert names == ["f45", "f46", "f47", "f48", "f49"]
 
     def test_full_table_drops_new_stacks_but_conserves_counts(self):
         readings = [[F_MAIN], [F_WORK], [F_MAIN]]
-        sampler = StackSampler(
-            hz=50.0,
-            clock=ticking_clock(),
-            max_stacks=1,
-            frame_reader=lambda: readings.pop(0),
+        reader = StackReader(
+            hz=50.0, max_stacks=1, frame_reader=lambda: readings.pop(0)
         )
-        sampler.begin()
-        sampler.sample_once()  # distinct stack: table full → dropped
-        sampler.sample_once()  # known stack: still folds
-        profile = sampler.profile()
+        # The second reading is a distinct stack: table full, dropped;
+        # the third is the known stack, which still folds.
+        profile = read_stacks(reader, 3)
         assert profile["sample_count"] == 3
         assert profile["dropped_samples"] == 1
         assert profile["stacks"][0]["count"] == 2
         assert validate_flame(profile) == []
 
     def test_unreadable_stack_is_a_dropped_sample(self):
-        sampler = StackSampler(
-            hz=50.0, clock=ticking_clock(), frame_reader=lambda: None
-        )
-        sampler.begin()
-        assert sampler.profile()["dropped_samples"] == 1
+        reader = StackReader(hz=50.0, frame_reader=lambda: None)
+        assert read_stacks(reader, 1)["dropped_samples"] == 1
 
     def test_raising_reader_degrades_to_a_drop_not_a_crash(self):
         def torn():
             raise RuntimeError("thread went away")
 
-        sampler = StackSampler(
-            hz=50.0, clock=ticking_clock(), frame_reader=torn
-        )
-        sampler.begin()
-        profile = sampler.profile()
+        profile = read_stacks(StackReader(hz=50.0, frame_reader=torn), 1)
         assert profile["dropped_samples"] == 1
         assert validate_flame(profile) == []
 
     def test_begin_and_stop_are_idempotent(self):
-        sampler = StackSampler(
-            hz=50.0, clock=ticking_clock(), frame_reader=fixed_reader(F_MAIN)
+        # Stacks are read on ticks only: begin and stop run on the
+        # profiled thread inside the arming call, so a stack read there
+        # would only ever see the arming code.
+        sampler = Sampler(
+            [StackReader(hz=50.0, frame_reader=fixed_reader(F_MAIN))],
+            clock=ticking_clock(),
         )
         sampler.begin()
         sampler.begin()
-        assert sampler.profile()["sample_count"] == 1
-        sampler.stop()  # takes the final sample
+        assert sampler.documents()["flame_profile"]["sample_count"] == 0
+        sampler.tick()
         sampler.stop()
-        assert sampler.profile()["sample_count"] == 2
+        sampler.stop()
+        assert sampler.documents()["flame_profile"]["sample_count"] == 1
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            StackSampler(hz=0.0)
+            StackReader(hz=0.0)
         with pytest.raises(ValueError):
-            StackSampler(hz=-1.0)
+            StackReader(hz=-1.0)
         with pytest.raises(ValueError):
-            StackSampler(max_stacks=0)
+            StackReader(max_stacks=0)
         with pytest.raises(ValueError):
-            StackSampler(max_depth=0)
+            StackReader(max_depth=0)
 
     def test_stop_attaches_the_profile_to_telemetry(self):
         telemetry = SpanStub("crawl.run")
-        sampler = StackSampler(
-            hz=50.0,
+        sampler = Sampler(
+            [StackReader(hz=50.0, frame_reader=fixed_reader(F_MAIN))],
             telemetry=telemetry,
             clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN),
         )
         sampler.begin()
+        sampler.tick()
         sampler.stop()
         assert telemetry.flame_profile["schema"] == FLAME_SCHEMA
-        assert telemetry.flame_profile["sample_count"] == 2
+        assert telemetry.flame_profile["sample_count"] == 1
 
     def test_stop_merges_with_worker_tables_already_attached(self):
         telemetry = SpanStub("exec.parallel_map")
-        worker = StackSampler(
-            hz=50.0, clock=ticking_clock(), frame_reader=fixed_reader(F_WORK)
-        )
-        worker.begin()
-        telemetry.flame_profile = worker.profile()  # merge_snapshot's doing
-        host = StackSampler(
-            hz=50.0,
+        worker = StackReader(hz=50.0, frame_reader=fixed_reader(F_WORK))
+        # merge_snapshot's doing:
+        telemetry.flame_profile = read_stacks(worker, 1)
+        host = Sampler(
+            [StackReader(hz=50.0, frame_reader=fixed_reader(F_MAIN))],
             telemetry=telemetry,
             clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN),
         )
         host.begin()
+        host.tick()
+        host.tick()
         host.stop()
         merged = telemetry.flame_profile
         assert merged["sample_count"] == 3  # 1 worker + 2 host samples
@@ -229,7 +227,7 @@ class TestSampling:
 class TestRealThread:
     def test_daemon_thread_samples_a_busy_loop(self):
         telemetry = SpanStub("pipeline.mapping")
-        with sample_stacks(500.0, telemetry=telemetry) as sampler:
+        with sample(telemetry, flame_hz=500.0) as sampler:
             assert sampler.running
             deadline = time.perf_counter() + 0.2
             while time.perf_counter() < deadline:
@@ -243,39 +241,27 @@ class TestRealThread:
         files = {frame["file"] for frame in profile["frames"]}
         assert all(not f.startswith("/") for f in files)
         assert not any(f.endswith("obs/prof.py") for f in files)
+        assert not any(f.endswith("obs/sampler.py") for f in files)
 
 
 class TestNullMode:
     def test_null_sampler_is_inert(self):
-        assert NULL_STACK_SAMPLER.sample_once() == 0
-        assert NULL_STACK_SAMPLER.running is False
-        NULL_STACK_SAMPLER.begin()
-        NULL_STACK_SAMPLER.stop()
-        profile = NULL_STACK_SAMPLER.profile()
-        assert profile["sample_count"] == 0
-        assert validate_flame(profile) == []
+        assert NULL_SAMPLER.running is False
+        assert NULL_SAMPLER.documents() == {}
 
     def test_falsy_rate_yields_the_shared_null_sampler(self):
         for rate in (None, 0, 0.0):
-            with sample_stacks(rate) as sampler:
-                assert sampler is NULL_STACK_SAMPLER
+            with sample(flame_hz=rate) as sampler:
+                assert sampler is NULL_SAMPLER
 
     def test_null_sampler_holds_no_state(self):
-        assert NullStackSampler.__slots__ == ()
+        assert type(NULL_SAMPLER).__slots__ == ()
 
 
 class TestMergeFlame:
     def _profile(self, stage, count, *frames, hz=50.0):
-        sampler = StackSampler(
-            hz=hz,
-            telemetry=SpanStub(stage),
-            clock=ticking_clock(),
-            frame_reader=fixed_reader(*frames),
-        )
-        sampler.begin()
-        for _ in range(count - 1):
-            sampler.sample_once()
-        return sampler.profile()
+        reader = StackReader(hz=hz, frame_reader=fixed_reader(*frames))
+        return read_stacks(reader, count, stage)
 
     def test_counts_add_per_stage_and_stack(self):
         a = self._profile("pipeline.mapping", 3, F_MAIN, F_LEAF)
@@ -329,19 +315,13 @@ class TestGaugesAndAnalysis:
         assert flame_gauges({"hz": "fast"}) == {}
 
     def _two_stack_profile(self):
-        telemetry = SpanStub("pipeline.mapping")
-        sampler = StackSampler(
-            hz=50.0,
-            telemetry=telemetry,
-            clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN, F_LEAF),
+        reader = StackReader(
+            hz=50.0, frame_reader=fixed_reader(F_MAIN, F_LEAF)
         )
-        sampler.begin()
-        sampler.sample_once()
-        sampler.sample_once()
-        sampler._frame_reader = fixed_reader(F_MAIN, F_WORK)
-        sampler.sample_once()
-        return sampler.profile()
+        read_stacks(reader, 3, "pipeline.mapping")
+        reader._frame_reader = fixed_reader(F_MAIN, F_WORK)
+        reader.read(1.0, "pipeline.mapping")
+        return reader.document()
 
     def test_top_frames_split_self_and_total(self):
         ranked = top_frames(self._two_stack_profile())
@@ -489,16 +469,10 @@ class TestValidateFlame:
 
 class TestRendering:
     def _profile(self):
-        telemetry = SpanStub("pipeline.mapping")
-        sampler = StackSampler(
-            hz=97.0,
-            telemetry=telemetry,
-            clock=ticking_clock(),
-            frame_reader=fixed_reader(F_MAIN, F_LEAF),
+        reader = StackReader(
+            hz=97.0, frame_reader=fixed_reader(F_MAIN, F_LEAF)
         )
-        sampler.begin()
-        sampler.sample_once()
-        return sampler.profile()
+        return read_stacks(reader, 2, "pipeline.mapping")
 
     def test_render_flame_headline_and_table(self):
         text = render_flame(self._profile())
@@ -543,10 +517,10 @@ class TestRendering:
 
 
 def test_profiled_thread_is_the_one_that_begins():
-    """begin() pins the calling thread; samples taken while another
+    """begin() pins the calling thread; readings taken while another
     thread is active still walk the pinned thread's stack."""
     telemetry = SpanStub("x.y")
-    sampler = StackSampler(hz=500.0, telemetry=telemetry)
+    sampler = Sampler([StackReader(hz=500.0)], telemetry=telemetry)
     done = threading.Event()
 
     def busy():
@@ -559,8 +533,9 @@ def test_profiled_thread_is_the_one_that_begins():
     worker = threading.Thread(target=busy)
     worker.start()
     while not done.is_set():
-        sampler.sample_once()
-    worker.join()
+        sampler.tick()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
     sampler.stop()
     profile = telemetry.flame_profile
     assert profile["sample_count"] >= 2

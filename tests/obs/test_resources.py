@@ -1,10 +1,11 @@
-"""ResourceSampler: deterministic rollup math, ring buffer, budgets.
+"""ResourceReader: deterministic rollup math, ring buffer, budgets.
 
-Everything timing-sensitive is driven through the injected clock and
-fake readers — :meth:`ResourceSampler.sample_once` needs no thread, so
-the rollup arithmetic (per-stage CPU/wall attribution, peaks, means,
-``cpu_util``) is exact.  A small smoke section exercises the real
-daemon thread and the real /proc readers.
+Everything timing-sensitive is driven through explicit timestamps, an
+injected clock and fake readers — :meth:`ResourceReader.read` and
+:meth:`Sampler.tick` need no thread, so the rollup arithmetic
+(per-stage CPU/wall attribution, peaks, means, ``cpu_util``) is exact.
+A small smoke section exercises the real daemon thread and the real
+/proc readers.
 """
 
 import threading
@@ -15,18 +16,22 @@ import pytest
 from repro.obs import telemetry as obs
 from repro.obs.resources import (
     DEFAULT_HZ,
-    NULL_SAMPLER,
     RESOURCE_BUDGET_SCHEMA,
     RESOURCE_PROFILE_SCHEMA,
-    NullResourceSampler,
-    ResourceSampler,
+    ResourceReader,
     check_budget,
     default_cpu_reader,
     default_rss_reader,
     profile_gauges,
     render_profile,
-    sample_resources,
     validate_profile,
+)
+from repro.obs.sampler import (
+    NULL_SAMPLER,
+    TOP_LABEL,
+    NullSampler,
+    Sampler,
+    sample,
 )
 
 
@@ -69,15 +74,24 @@ def readers():
     return FakeReaders()
 
 
-def make_sampler(clock, readers, **kwargs):
-    return ResourceSampler(
+def make_reader(readers, **kwargs):
+    return ResourceReader(
         kwargs.pop("hz", 10.0),
-        clock=clock,
         rss_reader=readers.read_rss,
         cpu_reader=readers.read_cpu,
         heap_reader=readers.read_heap,
         **kwargs,
     )
+
+
+def make_sampler(clock, readers, telemetry=None, **kwargs):
+    return Sampler(
+        [make_reader(readers, **kwargs)], telemetry=telemetry, clock=clock
+    )
+
+
+def resource_document(sampler):
+    return sampler.documents()["resource_profile"]
 
 
 class TestRollupMath:
@@ -88,11 +102,11 @@ class TestRollupMath:
         with telemetry.span("kde.evaluate"):
             clock.advance(1.0)
             readers.cpu += 0.8
-            sampler.sample_once()
+            sampler.tick()
         clock.advance(1.0)
         readers.cpu += 0.1
-        sampler.sample_once()
-        profile = sampler.profile()
+        sampler.tick()
+        profile = resource_document(sampler)
         kde = profile["stages"]["kde.evaluate"]
         assert kde["cpu_s"] == pytest.approx(0.8)
         assert kde["wall_s"] == pytest.approx(1.0)
@@ -103,31 +117,28 @@ class TestRollupMath:
         assert profile["totals"]["duration_s"] == pytest.approx(2.0)
         assert profile["totals"]["cpu_util"] == pytest.approx(0.45)
 
-    def test_rss_peak_and_mean(self, clock, readers):
-        sampler = make_sampler(clock, readers)
-        sampler.begin()  # rss 1000
-        for rss in (3000.0, 2000.0):
-            clock.advance(0.1)
+    def test_rss_peak_and_mean(self, readers):
+        reader = make_reader(readers)
+        reader.begin(0.0, TOP_LABEL)  # rss 1000
+        for now, rss in ((0.1, 3000.0), (0.2, 2000.0)):
             readers.rss = rss
-            sampler.sample_once()
-        totals = sampler.profile()["totals"]
+            reader.read(now, TOP_LABEL)
+        totals = reader.document()["totals"]
         assert totals["rss_peak_kib"] == 3000.0
         assert totals["rss_mean_kib"] == pytest.approx(2000.0)
 
-    def test_heap_peak_only_when_reader_reports(self, clock, readers):
-        sampler = make_sampler(clock, readers)
-        sampler.begin()
-        assert "heap_peak_kib" not in sampler.profile()["totals"]
+    def test_heap_peak_only_when_reader_reports(self, readers):
+        reader = make_reader(readers)
+        reader.begin(0.0, TOP_LABEL)
+        assert "heap_peak_kib" not in reader.document()["totals"]
         readers.heap = 512.0
-        clock.advance(0.1)
-        sampler.sample_once()
-        assert sampler.profile()["totals"]["heap_peak_kib"] == 512.0
+        reader.read(0.1, TOP_LABEL)
+        assert reader.document()["totals"]["heap_peak_kib"] == 512.0
 
-    def test_sample_rows_carry_schema_fields(self, clock, readers):
-        sampler = make_sampler(clock, readers)
-        sampler.begin()
-        clock.advance(0.25)
-        row = sampler.sample_once()
+    def test_sample_rows_carry_schema_fields(self, readers):
+        reader = make_reader(readers)
+        reader.begin(100.0, TOP_LABEL)
+        row = reader.read(100.25, TOP_LABEL)
         assert row["t_s"] == pytest.approx(0.25)
         assert row["rss_kib"] == 1000.0
         assert row["cpu_s"] == 0.0
@@ -135,25 +146,21 @@ class TestRollupMath:
         assert row["span"] == "(top)"
         assert len(row["gc"]) == 3
 
-    def test_profile_validates_cleanly(self, clock, readers):
-        telemetry = obs.Telemetry(clock=clock)
-        sampler = make_sampler(clock, readers, telemetry=telemetry)
-        sampler.begin()
-        with telemetry.span("crawl.run"):
-            clock.advance(0.5)
-            readers.cpu += 0.2
-            sampler.sample_once()
-        assert validate_profile(sampler.profile()) == []
+    def test_profile_validates_cleanly(self, readers):
+        reader = make_reader(readers)
+        reader.begin(0.0, TOP_LABEL)
+        readers.cpu += 0.2
+        reader.read(0.5, "crawl.run")
+        assert validate_profile(reader.document()) == []
 
 
 class TestRingBuffer:
-    def test_overflow_drops_oldest_and_counts(self, clock, readers):
-        sampler = make_sampler(clock, readers, max_samples=4)
-        sampler.begin()
-        for _ in range(9):
-            clock.advance(0.1)
-            sampler.sample_once()
-        profile = sampler.profile()
+    def test_overflow_drops_oldest_and_counts(self, readers):
+        reader = make_reader(readers, max_samples=4)
+        reader.begin(0.0, TOP_LABEL)
+        for step in range(1, 10):
+            reader.read(step / 10.0, TOP_LABEL)
+        profile = reader.document()
         assert profile["sample_count"] == 10
         assert profile["dropped_samples"] == 6
         assert len(profile["samples"]) == 4
@@ -161,26 +168,23 @@ class TestRingBuffer:
         assert times == sorted(times)  # ring unrolled in time order
         assert times[-1] == pytest.approx(0.9)
 
-    def test_rollups_cover_dropped_samples(self, clock, readers):
-        sampler = make_sampler(clock, readers, max_samples=4)
-        sampler.begin()
+    def test_rollups_cover_dropped_samples(self, readers):
+        reader = make_reader(readers, max_samples=4)
+        reader.begin(0.0, TOP_LABEL)
         readers.rss = 9000.0  # peak in a row the ring will drop
-        clock.advance(0.1)
-        sampler.sample_once()
+        reader.read(0.1, TOP_LABEL)
         readers.rss = 1000.0
-        for _ in range(8):
-            clock.advance(0.1)
-            sampler.sample_once()
-        profile = sampler.profile()
+        for step in range(2, 10):
+            reader.read(step / 10.0, TOP_LABEL)
+        profile = reader.document()
         assert all(r["rss_kib"] == 1000.0 for r in profile["samples"])
         assert profile["totals"]["rss_peak_kib"] == 9000.0
 
-    def test_keep_samples_false_records_rollups_only(self, clock, readers):
-        sampler = make_sampler(clock, readers, keep_samples=False)
-        sampler.begin()
-        clock.advance(0.1)
-        sampler.sample_once()
-        profile = sampler.profile()
+    def test_keep_samples_false_records_rollups_only(self, readers):
+        reader = make_reader(readers, keep_samples=False)
+        reader.begin(0.0, TOP_LABEL)
+        reader.read(0.1, TOP_LABEL)
+        profile = reader.document()
         assert profile["samples"] == []
         assert profile["dropped_samples"] == 0
         assert profile["sample_count"] == 2
@@ -197,6 +201,7 @@ class TestLifecycle:
         assert (
             telemetry.resource_profile["schema"] == RESOURCE_PROFILE_SCHEMA
         )
+        assert telemetry.resource_profile["sample_count"] == 2  # begin+end
 
     def test_stop_preserves_merged_worker_rollups(self, clock, readers):
         telemetry = obs.Telemetry(clock=clock)
@@ -222,9 +227,9 @@ class TestLifecycle:
         sampler = make_sampler(clock, readers)
         sampler.begin()
         sampler.stop()
-        count = sampler.profile()["sample_count"]
+        count = resource_document(sampler)["sample_count"]
         sampler.stop()
-        assert sampler.profile()["sample_count"] == count
+        assert resource_document(sampler)["sample_count"] == count
 
     def test_no_attach_to_null_registry(self, clock, readers):
         registry = obs.NullTelemetry()
@@ -234,50 +239,36 @@ class TestLifecycle:
         assert registry.resource_profile is None
         assert vars(registry) == {}  # class attr untouched
 
-    def test_context_manager_attaches_on_exception(self, clock, readers):
-        telemetry = obs.Telemetry(clock=clock)
+    def test_context_manager_attaches_on_exception(self):
+        telemetry = obs.Telemetry()
         with pytest.raises(RuntimeError):
-            with sample_resources(
-                10.0,
-                telemetry=telemetry,
-                clock=clock,
-                rss_reader=readers.read_rss,
-                cpu_reader=readers.read_cpu,
-                heap_reader=readers.read_heap,
-            ):
-                clock.advance(0.1)
+            with sample(telemetry, profile_hz=10.0):
                 raise RuntimeError("mid-run failure")
         assert telemetry.resource_profile is not None
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            ResourceSampler(0.0)
+            ResourceReader(0.0)
         with pytest.raises(ValueError):
-            ResourceSampler(-1.0)
+            ResourceReader(-1.0)
         with pytest.raises(ValueError):
-            ResourceSampler(10.0, max_samples=1)
+            ResourceReader(10.0, max_samples=1)
 
 
 class TestNullSampler:
     def test_falsy_hz_yields_the_shared_null(self):
-        with sample_resources(None) as sampler:
+        with sample(profile_hz=None) as sampler:
             assert sampler is NULL_SAMPLER
-        with sample_resources(0.0) as sampler:
+        with sample(profile_hz=0.0) as sampler:
             assert sampler is NULL_SAMPLER
 
     def test_null_operations_are_noops(self):
-        sampler = NullResourceSampler()
-        assert sampler.start() is sampler
-        assert sampler.sample_once() == {}
-        assert sampler.running is False
-        sampler.stop()
-        profile = sampler.profile()
-        assert profile["sample_count"] == 0
-        assert profile["samples"] == []
+        assert NULL_SAMPLER.running is False
+        assert NULL_SAMPLER.documents() == {}
 
     def test_null_sampler_is_slotted(self):
         with pytest.raises(AttributeError):
-            NullResourceSampler().stray = 1
+            NullSampler().stray = 1
 
 
 class TestGauges:
@@ -307,10 +298,10 @@ class TestGauges:
 
 
 class TestValidation:
-    def good(self, clock=None, readers=None):
-        sampler = make_sampler(clock or FakeClock(), readers or FakeReaders())
-        sampler.begin()
-        return sampler.profile()
+    def good(self):
+        reader = make_reader(FakeReaders())
+        reader.begin(0.0, TOP_LABEL)
+        return reader.document()
 
     def test_rejects_non_object(self):
         assert validate_profile([]) == ["profile is not a JSON object"]
@@ -385,19 +376,14 @@ class TestBudget:
 
 
 class TestRendering:
-    def test_render_lists_stages_by_cpu(self, clock, readers):
-        telemetry = obs.Telemetry(clock=clock)
-        sampler = make_sampler(clock, readers, telemetry=telemetry)
-        sampler.begin()
-        with telemetry.span("kde.evaluate"):
-            clock.advance(1.0)
-            readers.cpu += 0.9
-            sampler.sample_once()
-        with telemetry.span("pop.extract"):
-            clock.advance(1.0)
-            readers.cpu += 0.1
-            sampler.sample_once()
-        text = render_profile(sampler.profile())
+    def test_render_lists_stages_by_cpu(self, readers):
+        reader = make_reader(readers)
+        reader.begin(0.0, TOP_LABEL)
+        readers.cpu += 0.9
+        reader.read(1.0, "kde.evaluate")
+        readers.cpu += 0.1
+        reader.read(2.0, "pop.extract")
+        text = render_profile(reader.document())
         assert "sampled at 10 Hz" in text
         assert text.index("kde.evaluate") < text.index("pop.extract")
         assert "totals:" in text
@@ -422,7 +408,7 @@ class TestRendering:
 class TestRealThread:
     def test_thread_samples_and_stops(self):
         telemetry = obs.Telemetry()
-        with sample_resources(200.0, telemetry=telemetry) as sampler:
+        with sample(telemetry, profile_hz=200.0) as sampler:
             assert sampler.running
             assert sampler._thread.daemon
             time.sleep(0.1)
@@ -440,18 +426,19 @@ class TestRealThread:
     def test_sample_cost_is_small(self):
         # The <2% wall-clock overhead claim at 10 Hz needs each sample
         # to cost well under 2 ms; allow slack for noisy CI machines.
-        sampler = ResourceSampler(10.0)
-        sampler.begin()
+        reader = ResourceReader(10.0)
+        reader.begin(0.0, TOP_LABEL)
         start = time.perf_counter()
-        for _ in range(100):
-            sampler.sample_once()
+        for step in range(100):
+            reader.read(step / 10.0, TOP_LABEL)
         per_sample = (time.perf_counter() - start) / 100
         assert per_sample < 0.002
 
     def test_sampler_thread_is_allowed_outside_exec(self):
-        # Regression guard for REP601: repro.obs.resources uses
-        # threading (allowed), not multiprocessing (exec-only).
-        import repro.obs.resources as module
+        # Regression guard for REP601: the one sampler thread lives in
+        # repro.obs.sampler, which uses threading (allowed), not
+        # multiprocessing (exec-only).
+        import repro.obs.sampler as module
 
         assert module.threading is threading
         assert not hasattr(module, "multiprocessing")
