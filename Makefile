@@ -30,18 +30,19 @@ examples:
 experiments:
 	$(PYTHON) -m repro.cli all
 
-profile:
-	$(PYTHON) -m repro.cli --log-level info --profile-resources \
-		stats --top 10
+# The instrumented smoke run, defined once for the gate (smoke) and for
+# refreshing its committed baseline (smoke-baseline).
+SMOKE_RUN = $(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/run --memory table1
 
-# Capture a span-attributed flame profile of the smoke run and render
+profile:
+	$(PYTHON) -m repro.cli --log-level info stats --top 10
+
+# Capture a span-attributed flame profile of a table1 run and render
 # its hottest frames (export with `stats flame --format collapsed` or
 # `--format speedscope`; see docs/OBSERVABILITY.md).
 flame:
-	@mkdir -p $(SMOKE_DIR)
-	$(PYTHON) -m repro.cli --flame-out $(SMOKE_DIR)/smoke-flame.json \
-		table1 > /dev/null
-	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/smoke-flame.json
+	$(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/flame table1 > /dev/null
+	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/flame/report.json
 
 lint:
 	$(PYTHON) -m repro.cli lint
@@ -54,35 +55,18 @@ lint-tests:
 		--no-baseline
 
 # The CI perf + data + resource gate, runnable locally (CI runs this
-# target, so each gate is defined here once): instrumented smoke run
-# (with an event stream and a flame profile), event-stream integrity,
-# funnel conservation, resource-profile validation against the
-# committed budget, flame-profile validation, then a noise-aware diff
-# against the committed baseline (exit 1 on regression or drift of any
-# kind).  The JSON/speedscope renderings land in $(SMOKE_DIR) as CI
-# artifacts.
+# target, so each gate is defined here once): the instrumented smoke run
+# writes its bundle (report, event stream, trace) to $(SMOKE_DIR)/run,
+# and `stats check` runs every gate on it against the committed
+# baseline and its thresholds (exit 1 on a failed gate, 2 on an input
+# it cannot judge).  The speedscope export lands in $(SMOKE_DIR) as a
+# CI artifact.
 smoke:
-	@mkdir -p $(SMOKE_DIR)
-	$(PYTHON) -m repro.cli --metrics-out $(SMOKE_DIR)/smoke-report.json \
-		--trace-out $(SMOKE_DIR)/smoke-trace.json \
-		--events-out $(SMOKE_DIR)/smoke-events.jsonl --memory \
-		--profile-resources \
-		--flame-out $(SMOKE_DIR)/smoke-flame.json table1
-	$(PYTHON) -m repro.cli stats events $(SMOKE_DIR)/smoke-events.jsonl
-	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/smoke-report.json
-	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/smoke-report.json \
-		--format json > $(SMOKE_DIR)/smoke-funnel.json
-	$(PYTHON) -m repro.cli stats resources $(SMOKE_DIR)/smoke-report.json \
-		--budget benchmarks/baselines/resource-budget.json
-	$(PYTHON) -m repro.cli stats resources $(SMOKE_DIR)/smoke-report.json \
-		--budget benchmarks/baselines/resource-budget.json \
-		--format json > $(SMOKE_DIR)/smoke-resources.json
-	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/smoke-flame.json
-	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/smoke-flame.json \
+	$(SMOKE_RUN)
+	$(PYTHON) -m repro.cli stats check $(SMOKE_DIR)/run \
+		--baseline benchmarks/baselines/smoke
+	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/run/report.json \
 		--format speedscope > $(SMOKE_DIR)/smoke-flame-speedscope.json
-	$(PYTHON) -m repro.cli stats diff benchmarks/baselines/smoke.json \
-		$(SMOKE_DIR)/smoke-report.json --max-ratio 4.0 \
-		--noise-floor-ms 50 --cpu-util-tolerance 0.75
 
 # The CI engine gate, runnable locally: the rendered table1 must be
 # byte-identical with the engine off, cold and warm; the cold run must
@@ -93,16 +77,16 @@ smoke-parallel:
 	rm -rf .fpcache
 	$(PYTHON) -m repro.cli table1 > $(SMOKE_DIR)/table1-serial.txt
 	$(PYTHON) -m repro.cli --workers 2 --cache-dir .fpcache \
-		--metrics-out $(SMOKE_DIR)/parallel-cold.json \
+		--obs-dir $(SMOKE_DIR)/parallel-cold \
 		table1 > $(SMOKE_DIR)/table1-cold.txt
 	$(PYTHON) -m repro.cli --workers 2 --cache-dir .fpcache \
-		--metrics-out $(SMOKE_DIR)/parallel-warm.json \
+		--obs-dir $(SMOKE_DIR)/parallel-warm \
 		table1 > $(SMOKE_DIR)/table1-warm.txt
 	diff $(SMOKE_DIR)/table1-serial.txt $(SMOKE_DIR)/table1-cold.txt
 	diff $(SMOKE_DIR)/table1-serial.txt $(SMOKE_DIR)/table1-warm.txt
 	$(PYTHON) -c "import json; \
-		cold = json.load(open('$(SMOKE_DIR)/parallel-cold.json'))['counters']; \
-		warm = json.load(open('$(SMOKE_DIR)/parallel-warm.json'))['counters']; \
+		cold = json.load(open('$(SMOKE_DIR)/parallel-cold/report.json'))['counters']; \
+		warm = json.load(open('$(SMOKE_DIR)/parallel-warm/report.json'))['counters']; \
 		assert cold.get('exec.cache.misses', 0) > 0, cold; \
 		assert cold.get('exec.cache.writes', 0) > 0, cold; \
 		assert warm.get('exec.cache.hits', 0) > 0, warm; \
@@ -112,54 +96,46 @@ smoke-parallel:
 
 # The CI streaming gate, runnable locally: the chunk-streamed pipeline
 # (--chunk-size) must render a byte-identical table1, the run must
-# actually have streamed (>1 chunk), and its resource profile must stay
-# inside the committed chunked-path budget (the nested "stream" entry
-# in resource-budget.json — see docs/DATA_MODEL.md for the O(chunk)
+# actually have streamed (>1 chunk), and `stats check` must pass its
+# bundle against the committed chunked-path budget in
+# benchmarks/baselines/stream (see docs/DATA_MODEL.md for the O(chunk)
 # memory contract it enforces).
 smoke-stream:
 	@mkdir -p $(SMOKE_DIR)
 	$(PYTHON) -m repro.cli table1 > $(SMOKE_DIR)/table1-serial.txt
-	$(PYTHON) -m repro.cli --chunk-size 4096 \
-		--metrics-out $(SMOKE_DIR)/stream-report.json \
-		--profile-resources \
+	$(PYTHON) -m repro.cli --chunk-size 4096 --obs-dir $(SMOKE_DIR)/stream \
 		table1 > $(SMOKE_DIR)/table1-chunked.txt
 	diff $(SMOKE_DIR)/table1-serial.txt $(SMOKE_DIR)/table1-chunked.txt
+	$(PYTHON) -m repro.cli stats check $(SMOKE_DIR)/stream \
+		--baseline benchmarks/baselines/stream
 	$(PYTHON) -c "import json; \
-		budget = json.load(open('benchmarks/baselines/resource-budget.json'))['stream']; \
-		json.dump(budget, open('$(SMOKE_DIR)/stream-budget.json', 'w'), indent=2)"
-	$(PYTHON) -m repro.cli stats resources $(SMOKE_DIR)/stream-report.json \
-		--budget $(SMOKE_DIR)/stream-budget.json
-	$(PYTHON) -c "import json; \
-		gauges = json.load(open('$(SMOKE_DIR)/stream-report.json'))['gauges']; \
+		gauges = json.load(open('$(SMOKE_DIR)/stream/report.json'))['gauges']; \
 		chunks = gauges.get('pipeline.stream.chunks', 0); \
 		assert chunks > 1, gauges; \
 		print('stream gate ok:', int(chunks), 'chunks, rss peak', \
 			int(gauges['pipeline.stream.rss_peak_kib']), 'KiB')"
 
-# Refresh the committed perf baseline (only for understood changes).
+# Refresh the committed perf baseline (only for understood changes):
+# the smoke run's report becomes benchmarks/baselines/smoke/report.json.
 smoke-baseline:
-	$(PYTHON) -m repro.cli --metrics-out benchmarks/baselines/smoke.json \
-		--memory --profile-resources table1
+	$(SMOKE_RUN)
+	cp $(SMOKE_DIR)/run/report.json benchmarks/baselines/smoke/report.json
 
 history:
 	$(PYTHON) -m repro.cli stats history
 
-# Render the smoke run's data-lineage funnel waterfall (exits 1 if any
+# Render a table1 run's data-lineage funnel waterfall (exits 1 if any
 # stage violates the in == out + dropped conservation law).
 funnel:
-	@mkdir -p $(SMOKE_DIR)
-	$(PYTHON) -m repro.cli --metrics-out $(SMOKE_DIR)/smoke-report.json \
-		table1 > /dev/null
-	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/smoke-report.json
+	$(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/funnel table1 > /dev/null
+	$(PYTHON) -m repro.cli stats funnel $(SMOKE_DIR)/funnel/report.json
 
 # Stream a live repro.events/v1 event log from an instrumented run,
 # then render + validate it (exits 1 on gaps, truncation or any other
 # schema violation).
 events:
-	@mkdir -p $(SMOKE_DIR)
-	$(PYTHON) -m repro.cli --events-out $(SMOKE_DIR)/smoke-events.jsonl \
-		table1 > /dev/null
-	$(PYTHON) -m repro.cli stats events $(SMOKE_DIR)/smoke-events.jsonl
+	$(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/events table1 > /dev/null
+	$(PYTHON) -m repro.cli stats events $(SMOKE_DIR)/events/events.jsonl
 
 clean:
 	rm -rf .pytest_cache benchmarks/results .benchmarks $(SMOKE_DIR)

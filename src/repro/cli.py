@@ -9,17 +9,13 @@
     repro-eyeball section6 [--scale 0.01]
     repro-eyeball all      [--preset small]
     repro-eyeball stats    [--preset small] [--top 10]
-    repro-eyeball stats diff OLD.json NEW.json [--max-ratio 1.5]
-                           [--max-rss-ratio 1.5]
+    repro-eyeball stats check DIR [--baseline BASE] [--format text|json]
     repro-eyeball stats funnel REPORT.json [--format text|json]
     repro-eyeball stats history [--limit 10] [--name table1] [--format json]
     repro-eyeball stats events EVENTS.jsonl [--format text|json] [--limit N]
     repro-eyeball stats resources REPORT.json [--format text|json]
-                           [--budget BUDGET.json]
-    repro-eyeball stats flame PROFILE.json [--top 10]
+    repro-eyeball stats flame REPORT.json [--top 10]
                            [--format text|json|collapsed|speedscope]
-                           [--diff BASELINE.json] [--share-tolerance 0.1]
-                           [--min-share 0.05]
     repro-eyeball lint     [PATH ...] [--format text|json] [--list-rules]
                            [--select RULES] [--graph-out GRAPH.json]
                            [--show-suppressed]
@@ -34,31 +30,18 @@ Global observability flags (see ``docs/OBSERVABILITY.md``):
 
 ``--log-level LEVEL``
     Structured ``repro.*`` logging threshold (default ``warning``).
-``--metrics-out PATH``
-    Enable telemetry for the run and write a JSON run report to PATH.
-``--trace-out PATH``
-    Enable telemetry and export the span tree as Chrome trace-event
-    JSON (loadable in Perfetto / ``chrome://tracing``).
+``--obs-dir DIR``
+    Enable telemetry and write the run bundle to DIR: ``report.json``
+    (the ``repro.run-report/v1`` report, with resource and flame
+    profiles sampled at 10 and 97 Hz on one background thread),
+    ``events.jsonl`` (the live ``repro.events/v1`` stream: stage
+    progress, heartbeats, stall warnings) and ``trace.json`` (Chrome
+    trace-event JSON for Perfetto / ``chrome://tracing``).  Workers
+    sample themselves and ship their profiles home.  Gate the bundle
+    with ``stats check``.
 ``--memory``
     With telemetry enabled, additionally gauge per-span peak heap via
     ``tracemalloc`` (``memory.peak_kib.*``); a no-op otherwise.
-``--profile-resources[=HZ]``
-    With telemetry enabled, sample RSS/CPU/heap on a background thread
-    (default 10 Hz) into a ``repro.resource-profile/v1`` section of the
-    run report, rendered as counter tracks in ``--trace-out`` traces;
-    inspect with ``stats resources``.  A no-op otherwise.
-``--flame-out PATH``
-    Enable telemetry, sample the call stack on a background thread and
-    write the span-attributed ``repro.flame/v1`` collapsed-stack
-    profile to PATH; render, export (flamegraph.pl / speedscope) and
-    diff it with ``stats flame``.
-``--flame-hz HZ``
-    Stack-sampling rate for ``--flame-out`` (default 97 Hz); workers
-    sample themselves and ship their stack tables home.
-``--events-out PATH.jsonl``
-    Stream live ``repro.events/v1`` events (stage progress, heartbeats,
-    stall warnings) to PATH while the run executes — independent of the
-    post-hoc report sinks.  Validate with ``stats events``.
 ``--progress``
     Render live per-stage progress bars with rate/ETA on stderr.
 ``--version``
@@ -73,7 +56,7 @@ Execution-engine flags (see ``docs/PERFORMANCE.md``):
 ``--cache-dir PATH``
     Content-addressed artifact cache for footprint results.  A re-run
     with unchanged inputs serves footprints from disk (watch the
-    ``exec.cache.*`` counters in ``--metrics-out`` reports).
+    ``exec.cache.*`` counters in ``--obs-dir`` reports).
 ``--chunk-size N``
     Stream the conditioning pipeline in N-peer chunks (default 262144;
     see ``docs/DATA_MODEL.md``).  Output is the same at every chunk
@@ -88,7 +71,9 @@ import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import __version__
 from .analysis import (
@@ -118,7 +103,7 @@ from .obs import prof as obs_prof
 from .obs import resources as obs_resources
 from .obs import telemetry as obs
 from .obs.diff import DiffThresholds, diff_reports
-from .obs.history import RunHistory
+from .obs.history import RunHistory, recent
 from .obs.lineage import (
     FunnelConservationError,
     FunnelStage,
@@ -127,9 +112,8 @@ from .obs.lineage import (
 from .obs.logconfig import LEVELS, configure_logging
 from .obs.memory import capture_memory
 from .obs.report import DATA_QUALITY_SCHEMA, RunReport
-from .obs.report import SCHEMA as RUN_REPORT_SCHEMA
 from .obs.sampler import sample
-from .obs.trace import write_trace
+from .obs.trace import validate_trace, write_trace
 from .validation.reference import ReferenceConfig
 
 
@@ -165,30 +149,19 @@ def _parallel_config(args) -> Optional[ParallelConfig]:
     """
     if args.workers == 1 and args.cache_dir is None:
         return None
+    observed = _observed(args)
     return ParallelConfig(
         workers=args.workers,
         cache_dir=args.cache_dir,
-        profile_hz=getattr(args, "profile_resources", None),
-        flame_hz=_effective_flame_hz(args),
+        profile_hz=obs_resources.DEFAULT_HZ if observed else None,
+        flame_hz=obs_prof.DEFAULT_HZ if observed else None,
     )
 
 
-def _effective_flame_hz(args) -> Optional[float]:
-    """The stack-sampling rate this run profiles at (None = off).
-
-    ``--flame-out`` arms the sampler (at ``--flame-hz`` or the default
-    rate); bare ``stats`` runs, which arm telemetry without a sink,
-    additionally honour ``--flame-hz`` alone, mirroring
-    ``--profile-resources``.
-    """
-    if getattr(args, "flame_out", None) is not None:
-        return getattr(args, "flame_hz", None) or obs_prof.DEFAULT_HZ
-    if (
-        getattr(args, "handler", None) is cmd_stats
-        and getattr(args, "flame_hz", None)
-    ):
-        return args.flame_hz
-    return None
+def _observed(args) -> bool:
+    """Whether :func:`main` arms telemetry and the sampler: under
+    ``--obs-dir``, and for a bare ``stats`` run, which profiles itself."""
+    return args.obs_dir is not None or args.handler is cmd_stats
 
 
 def _reference_config(args) -> ReferenceConfig:
@@ -406,7 +379,7 @@ def cmd_stats(args) -> int:
     Always rebuilds the scenario (no cache) so the span timings reflect
     real work, then exercises the KDE → PoP stages on a few target ASes
     so the Section 3/4 spans appear too.  :func:`main` arms telemetry
-    and any sampler around this run and prints the telemetry summary
+    and the sampler around this run and prints the telemetry summary
     once the profiles are folded in.
     """
     scenario = build_scenario(_scenario_config(args))
@@ -425,101 +398,137 @@ def cmd_stats(args) -> int:
 DEFAULT_HISTORY = "benchmarks/results/history.jsonl"
 
 
-def cmd_stats_diff(args) -> int:
-    """Compare two run reports; exit 1 on a thresholded regression."""
-    try:
-        old = RunReport.load(args.old)
-        new = RunReport.load(args.new)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load run report: {exc}", file=sys.stderr)
-        return 2
-    if bool(old.resource_profile) != bool(new.resource_profile):
-        # Degrade like the funnel/events commands: one profiled and one
-        # unprofiled report cannot be resource-judged — name the bare
-        # one instead of silently skipping (or tripping) the gate.
-        bare = args.old if not old.resource_profile else args.new
-        print(
-            f"error: {bare} has no "
-            f"{obs_resources.RESOURCE_PROFILE_SCHEMA} section while the "
-            "other report does; regenerate it with --profile-resources "
-            "(or diff two unprofiled reports)",
-            file=sys.stderr,
-        )
-        return 2
-    thresholds = DiffThresholds(
-        max_ratio=args.max_ratio,
-        noise_floor_s=args.noise_floor_ms / 1000.0,
-        counter_rel_tol=args.counter_tolerance,
-        gauge_rel_tol=args.gauge_tolerance,
-        fail_on_drift=args.fail_on_drift,
-        retention_abs_tol=args.retention_tolerance,
-        quantile_rel_tol=args.quantile_tolerance,
-        fail_on_data_drift=not args.no_fail_on_data_drift,
-        max_rss_ratio=args.max_rss_ratio,
-        cpu_util_abs_tol=args.cpu_util_tolerance,
-        fail_on_resource_drift=not args.no_fail_on_resource_drift,
-    )
-    try:
-        result = diff_reports(old, new, thresholds)
-    except (KeyError, TypeError, ValueError) as exc:
-        # A report missing an expected section (e.g. written by an
-        # older version) must name the problem, not traceback.
-        print(
-            f"error: cannot diff reports: {exc!r} — one report may "
-            "predate the current repro.run-report/v1 sections; "
-            "regenerate it with --metrics-out on this version",
-            file=sys.stderr,
-        )
-        return 2
-    if args.format == "json":
-        print(result.to_json())
-    else:
-        print(f"old: {args.old}")
-        print(f"new: {args.new}")
-        print(result.render_text())
-    if result.verdict != "ok":
-        if result.regressions:
-            detail = ", ".join(d.path for d in result.regressions)
-        elif result.data_drifts:
-            detail = "data drift (" + ", ".join(
-                d.stage if hasattr(d, "stage") else f"{d.name}.{d.quantile}"
-                for d in result.data_drifts
-            ) + ")"
-        elif result.resource_drifts:
-            detail = "resource drift (" + ", ".join(
-                f"{d.scope}.{d.metric}" for d in result.resource_drifts
-            ) + ")"
-        else:
-            detail = "metric drift"
-        print(f"perf regression gate FAILED: {detail}", file=sys.stderr)
-        return 1
-    return 0
+#: The run bundle ``--obs-dir`` writes and ``stats check`` reads.
+REPORT_FILE = "report.json"
+EVENTS_FILE = "events.jsonl"
+TRACE_FILE = "trace.json"
+
+#: The committed limits of a ``stats check --baseline`` directory.
+THRESHOLDS_FILE = "thresholds.json"
+
+#: Sections of a thresholds file and the keys each may hold; ``budget``
+#: is a whole ``repro.resource-budget/v1`` document, judged by
+#: :func:`repro.obs.resources.check_budget`.
+_THRESHOLD_KEYS = {
+    "diff": {field.name for field in dataclasses.fields(DiffThresholds)},
+    "flame": {"share_tolerance", "min_share"},
+    "budget": None,
+}
+
+#: Schema named when a report lacks the section a gate reads.
+_SECTION_SCHEMAS = {
+    "data_quality": DATA_QUALITY_SCHEMA,
+    "resource_profile": obs_resources.RESOURCE_PROFILE_SCHEMA,
+    "flame_profile": obs_prof.FLAME_SCHEMA,
+}
 
 
-def cmd_stats_funnel(args) -> int:
-    """Render a report's data funnel; exit 1 on conservation violation."""
+class _BadInput(Exception):
+    """A stats input that cannot be read or judged (exit status 2)."""
+
+
+class _Verdict(NamedTuple):
+    """One gate's outcome: ``ok``, ``failed``, ``skipped`` or ``error``."""
+
+    status: str
+    summary: str
+    problems: Sequence[str] = ()
+    document: Optional[Dict[str, Any]] = None
+
+
+def _verdict(problems: Sequence[str], path) -> _Verdict:
+    """A validity gate's outcome on the file at ``path``."""
+    return _Verdict("failed" if problems else "ok", str(path), problems)
+
+
+def load_thresholds(baseline) -> Dict[str, Any]:
+    """The gate limits in ``BASE/thresholds.json``.
+
+    Returns ``diff`` (a :class:`DiffThresholds`), ``flame`` (keyword
+    arguments of :func:`repro.obs.prof.diff_flame`) and ``budget`` (a
+    ``repro.resource-budget/v1`` document or ``None``); an absent file
+    or section means the defaults and no budget.  Raises
+    ``ValueError`` naming the first unknown key.
+    """
+    path = Path(baseline) / THRESHOLDS_FILE
+    data = json.loads(path.read_text()) if path.exists() else {}
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} is not a JSON object")
+    for section, body in data.items():
+        if section not in _THRESHOLD_KEYS:
+            raise ValueError(f"{path}: unknown key {section!r}")
+        if not isinstance(body, dict):
+            raise ValueError(f"{path}: {section!r} is not an object")
+        allowed = _THRESHOLD_KEYS[section]
+        unknown = sorted(set(body) - allowed) if allowed is not None else []
+        if unknown:
+            raise ValueError(f"{path}: unknown key {section}.{unknown[0]!r}")
+    return {
+        "diff": DiffThresholds(**data.get("diff", {})),
+        "flame": dict(data.get("flame", {})),
+        "budget": data.get("budget"),
+    }
+
+
+def _load_report(path) -> RunReport:
     try:
-        report = RunReport.load(args.report)
+        return RunReport.load(path)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot load run report: {exc}", file=sys.stderr)
-        return 2
-    if not report.data_quality:
-        print(
-            f"error: {args.report} has no {DATA_QUALITY_SCHEMA} section "
-            "(written by an older version?); regenerate it with "
-            "--metrics-out on this version",
-            file=sys.stderr,
+        raise _BadInput(f"cannot load run report: {exc}") from None
+
+
+def _section(report: RunReport, path, name: str) -> Dict[str, Any]:
+    """The report's ``name`` section; :class:`_BadInput` when absent."""
+    section = getattr(report, name)
+    if not section:
+        raise _BadInput(
+            f"{path} has no {_SECTION_SCHEMAS[name]} section; regenerate "
+            "it with --obs-dir on this version"
         )
-        return 2
-    stages = report.funnel()
+    return section
+
+
+def _read_events(path) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """A stored event stream and its schema problems."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise _BadInput(f"cannot read event stream: {exc}") from None
+    events, problems = obs_events.parse_events(text)
+    return events, problems + obs_events.validate_events(events)
+
+
+def _funnel_violations(report: RunReport, path) -> List[str]:
+    """Stages of the report's funnel that break conservation."""
+    _section(report, path, "data_quality")
     violations: List[str] = []
-    for raw in stages:
+    for raw in report.funnel():
         try:
             FunnelStage.from_dict(raw).check_conservation()
         except FunnelConservationError as exc:
             violations.append(str(exc))
         except (KeyError, TypeError, ValueError) as exc:
             violations.append(f"malformed funnel stage: {exc!r}")
+    return violations
+
+
+def _flame_profile(report: RunReport, path) -> Dict[str, Any]:
+    """The report's flame section; :class:`_BadInput` when it is
+    absent or fails ``repro.flame/v1`` validation."""
+    profile = _section(report, path, "flame_profile")
+    problems = obs_prof.validate_flame(profile)
+    if problems:
+        raise _BadInput(
+            f"{path}: flame profile INVALID: " + "; ".join(problems)
+        )
+    return profile
+
+
+def cmd_stats_funnel(args) -> int:
+    """Render a report's data funnel; exit 1 on conservation violation."""
+    report = _load_report(args.report)
+    violations = _funnel_violations(report, args.report)
+    stages = report.funnel()
     if args.format == "json":
         print(json.dumps(
             {
@@ -545,21 +554,12 @@ def cmd_stats_events(args) -> int:
     Exit 0 on a schema-valid stream, 1 on sequence gaps, truncation or
     any other schema violation, 2 when the file cannot be read.
     """
-    try:
-        text = Path(args.stream).read_text()
-    except OSError as exc:
-        print(f"error: cannot read event stream: {exc}", file=sys.stderr)
-        return 2
-    parsed, problems = obs_events.parse_events(text)
-    problems = problems + obs_events.validate_events(parsed)
+    if args.limit is not None and args.limit < 0:
+        raise _BadInput("--limit must be non-negative")
+    parsed, problems = _read_events(args.stream)
     # --limit trims what is *shown*, never what is validated: sequence
     # gaps in the untrimmed head must still fail the gate.
-    shown = parsed
-    if args.limit is not None:
-        if args.limit < 0:
-            print("error: --limit must be non-negative", file=sys.stderr)
-            return 2
-        shown = parsed[len(parsed) - args.limit:] if args.limit else []
+    shown = parsed if args.limit is None else recent(parsed, args.limit)
     if args.format == "json":
         summary = obs_events.summarize_events(shown)
         summary["valid"] = not problems
@@ -582,33 +582,13 @@ def cmd_stats_events(args) -> int:
 def cmd_stats_resources(args) -> int:
     """Render and validate a report's resource profile.
 
-    Exit 0 on a valid (and within-budget) profile, 1 on schema damage
-    or a budget breach, 2 when the report/budget cannot be loaded or
-    the report carries no resource-profile section.
+    Exit 0 on a valid profile, 1 on schema damage, 2 when the report
+    cannot be loaded or carries no resource-profile section.
     """
-    try:
-        report = RunReport.load(args.report)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load run report: {exc}", file=sys.stderr)
-        return 2
-    profile = report.resource_profile
-    if not profile:
-        print(
-            f"error: {args.report} has no "
-            f"{obs_resources.RESOURCE_PROFILE_SCHEMA} section; "
-            "regenerate it with --profile-resources",
-            file=sys.stderr,
-        )
-        return 2
+    profile = _section(
+        _load_report(args.report), args.report, "resource_profile"
+    )
     problems = obs_resources.validate_profile(profile)
-    breaches: List[str] = []
-    if args.budget is not None:
-        try:
-            budget = json.loads(Path(args.budget).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load budget: {exc}", file=sys.stderr)
-            return 2
-        breaches = obs_resources.check_budget(profile, budget)
     if args.format == "json":
         print(json.dumps(
             {
@@ -616,8 +596,6 @@ def cmd_stats_resources(args) -> int:
                 "profile": profile,
                 "valid": not problems,
                 "problems": problems,
-                "budget": args.budget,
-                "budget_breaches": breaches,
             },
             indent=2,
             sort_keys=True,
@@ -626,81 +604,16 @@ def cmd_stats_resources(args) -> int:
         print(obs_resources.render_profile(profile))
     for problem in problems:
         print(f"resource profile INVALID: {problem}", file=sys.stderr)
-    for breach in breaches:
-        print(f"resource budget EXCEEDED: {breach}", file=sys.stderr)
-    return 1 if problems or breaches else 0
-
-
-def _load_flame_profile(path: str):
-    """Load+validate a flame profile (raw document or run report).
-
-    Returns ``(profile, 0)``, or ``(None, exit_status)`` with the error
-    already printed on stderr.
-    """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load flame profile: {exc}", file=sys.stderr)
-        return None, 2
-    profile: Any = data
-    if isinstance(data, dict) and data.get("schema") == RUN_REPORT_SCHEMA:
-        try:
-            profile = RunReport.from_dict(data).flame_profile
-        except ValueError as exc:
-            print(f"error: cannot load run report: {exc}", file=sys.stderr)
-            return None, 2
-        if not profile:
-            print(
-                f"error: {path} has no {obs_prof.FLAME_SCHEMA} section; "
-                "regenerate it with --flame-out",
-                file=sys.stderr,
-            )
-            return None, 2
-    problems = obs_prof.validate_flame(profile)
-    if problems:
-        for problem in problems:
-            print(f"flame profile INVALID: {problem}", file=sys.stderr)
-        return None, 2
-    return profile, 0
+    return 1 if problems else 0
 
 
 def cmd_stats_flame(args) -> int:
-    """Render/export a stored flame profile; gate hot-frame drift.
+    """Render/export a run report's flame profile.
 
-    Exit 0 on a valid profile (and, with ``--diff``, no thresholded
-    hot-frame regression), 1 when ``--diff`` finds one, 2 when either
-    input cannot be read or fails ``repro.flame/v1`` validation.
+    Exit 0 on a valid profile, 2 when the report cannot be read,
+    carries no flame section or fails ``repro.flame/v1`` validation.
     """
-    profile, status = _load_flame_profile(args.profile)
-    if profile is None:
-        return status
-    if args.diff is not None:
-        baseline, status = _load_flame_profile(args.diff)
-        if baseline is None:
-            return status
-        result = obs_prof.diff_flame(
-            baseline,
-            profile,
-            share_tolerance=args.share_tolerance,
-            min_share=args.min_share,
-        )
-        if args.format == "json":
-            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(f"old: {args.diff}")
-            print(f"new: {args.profile}")
-            print(result.render_text())
-        if result.regressions:
-            detail = ", ".join(
-                f"{shift.stage}: {shift.frame}"
-                for shift in result.regressions
-            )
-            print(
-                f"hot-frame regression gate FAILED: {detail}",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+    profile = _flame_profile(_load_report(args.report), args.report)
     if args.format == "json":
         print(json.dumps(
             {
@@ -717,13 +630,174 @@ def cmd_stats_flame(args) -> int:
         print(obs_prof.render_collapsed(profile))
     elif args.format == "speedscope":
         print(json.dumps(
-            obs_prof.render_speedscope(profile, name=args.profile),
+            obs_prof.render_speedscope(profile, name=args.report),
             indent=2,
             sort_keys=True,
         ))
     else:
         print(obs_prof.render_flame(profile, top=args.top))
     return 0
+
+
+def _trace_problems(path) -> List[str]:
+    try:
+        document = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"cannot load trace: {exc}") from None
+    return validate_trace(document)
+
+
+def _diff_gate(old_path, old, new_path, new, limits) -> _Verdict:
+    """The report diff; a one-sided resource profile cannot be judged."""
+    if bool(old.resource_profile) != bool(new.resource_profile):
+        bare = old_path if not old.resource_profile else new_path
+        raise _BadInput(
+            f"{bare} has no {obs_resources.RESOURCE_PROFILE_SCHEMA} "
+            "section while the other report does; regenerate it with "
+            "--obs-dir"
+        )
+    try:
+        result = diff_reports(old, new, limits)
+    except (KeyError, TypeError, ValueError) as exc:
+        # A report missing an expected section (e.g. written by an
+        # older version) must name the problem, not traceback.
+        raise _BadInput(
+            f"cannot diff reports: {exc!r} — one report may predate the "
+            "current repro.run-report/v1 sections; regenerate it with "
+            "--obs-dir on this version"
+        ) from None
+    head, *detail = filter(None, result.render_text().splitlines())
+    failed = result.verdict != "ok"
+    return _Verdict(
+        "failed" if failed else "ok",
+        head,
+        detail if failed else (),
+        result.to_dict(),
+    )
+
+
+def _flame_diff_gate(old_path, old, new_path, new, limits) -> _Verdict:
+    """Hot-frame drift, judged only when both reports carry flames."""
+    for report, path in ((old, old_path), (new, new_path)):
+        if not report.flame_profile:
+            return _Verdict(
+                "skipped",
+                f"not judged: {path} has no {obs_prof.FLAME_SCHEMA} section",
+            )
+    result = obs_prof.diff_flame(
+        _flame_profile(old, old_path), _flame_profile(new, new_path),
+        **limits,
+    )
+    *detail, tail = filter(None, result.render_text().splitlines())
+    return _Verdict(
+        "failed" if result.regressions else "ok",
+        tail,
+        detail if result.regressions else (),
+        result.to_dict(),
+    )
+
+
+def cmd_stats_check(args) -> int:
+    """Run every gate on a run bundle, optionally against a baseline.
+
+    Each gate calls the function its single-artifact command calls,
+    runs even after another gate failed, and prints one line.  Exit 2
+    when any input cannot be read or judged, else 1 when any gate
+    fails, else 0.
+    """
+    bundle = Path(args.bundle)
+    report_path = bundle / REPORT_FILE
+
+    def report() -> RunReport:
+        return _load_report(report_path)
+
+    def flame() -> _Verdict:
+        _flame_profile(report(), report_path)
+        return _verdict([], report_path)
+
+    gates: Dict[str, Callable[[], _Verdict]] = {
+        "events": lambda: _verdict(
+            _read_events(bundle / EVENTS_FILE)[1], bundle / EVENTS_FILE
+        ),
+        "funnel": lambda: _verdict(
+            _funnel_violations(report(), report_path), report_path
+        ),
+        "resources": lambda: _verdict(
+            obs_resources.validate_profile(
+                _section(report(), report_path, "resource_profile")
+            ),
+            report_path,
+        ),
+        "flame": flame,
+        "trace": lambda: _verdict(
+            _trace_problems(bundle / TRACE_FILE), bundle / TRACE_FILE
+        ),
+    }
+    if args.baseline is not None:
+        # A baseline that cannot be read is a usage error, not a gate.
+        base = Path(args.baseline)
+        base_path = base / REPORT_FILE
+        if not base_path.exists() and not (base / THRESHOLDS_FILE).exists():
+            raise _BadInput(
+                f"baseline {base} holds neither {REPORT_FILE} nor "
+                f"{THRESHOLDS_FILE}"
+            )
+        try:
+            limits = load_thresholds(base)
+        except (OSError, ValueError) as exc:
+            raise _BadInput(f"cannot load thresholds: {exc}") from None
+
+        def against_base(gate, kind: str) -> _Verdict:
+            if not base_path.exists():
+                return _Verdict("skipped", f"not judged: no {base_path}")
+            return gate(
+                base_path, _load_report(base_path), report_path, report(),
+                limits[kind],
+            )
+
+        def budget() -> _Verdict:
+            document = limits["budget"]
+            if document is None:
+                return _Verdict("skipped", "not judged: no budget")
+            profile = _section(report(), report_path, "resource_profile")
+            return _verdict(
+                obs_resources.check_budget(profile, document),
+                base / THRESHOLDS_FILE,
+            )
+
+        gates["diff"] = lambda: against_base(_diff_gate, "diff")
+        gates["flame-diff"] = lambda: against_base(_flame_diff_gate, "flame")
+        gates["budget"] = budget
+    verdicts: Dict[str, _Verdict] = {}
+    for name, gate in gates.items():
+        try:
+            verdicts[name] = gate()
+        except _BadInput as exc:
+            verdicts[name] = _Verdict("error", str(exc))
+    statuses = {verdict.status for verdict in verdicts.values()}
+    status = 2 if "error" in statuses else 1 if "failed" in statuses else 0
+    outcome = ("ok", "failed", "error")[status]
+    if args.format == "json":
+        print(json.dumps(
+            {
+                "bundle": str(bundle),
+                "baseline": args.baseline,
+                "verdict": outcome,
+                "gates": [
+                    {"gate": name, **verdict._asdict()}
+                    for name, verdict in verdicts.items()
+                ],
+            },
+            indent=2,
+            sort_keys=True,
+        ))
+        return status
+    for name, verdict in verdicts.items():
+        print(f"{name:<12}{verdict.status:<9}{verdict.summary}")
+        for problem in verdict.problems:
+            print(f"{name}: {problem}", file=sys.stderr)
+    print(f"verdict: {outcome}")
+    return status
 
 
 class _ProgressRenderer:
@@ -772,9 +846,11 @@ class _ProgressRenderer:
 
 def cmd_stats_history(args) -> int:
     """Summarise the append-only run history (most recent last)."""
+    if args.limit < 0:
+        raise _BadInput("--limit must be non-negative")
     history = RunHistory(args.path)
     if args.format == "json":
-        entries = history.entries(name=args.name)[-args.limit:]
+        entries = recent(history.entries(name=args.name), args.limit)
         print(json.dumps(
             [entry.to_dict() for entry in entries], indent=2, sort_keys=True
         ))
@@ -805,57 +881,19 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: warning)",
     )
     parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
+        "--obs-dir",
+        metavar="DIR",
         default=None,
-        help="enable telemetry and write a JSON run report to PATH",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
-        help="enable telemetry and write a Chrome trace-event JSON "
-             "(Perfetto / chrome://tracing) to PATH",
+        help="enable telemetry and write the run bundle to DIR: "
+             "report.json (with resource and flame profiles), the live "
+             "events.jsonl stream and trace.json; gate it with "
+             "'stats check'",
     )
     parser.add_argument(
         "--memory",
         action="store_true",
         help="gauge per-span peak heap via tracemalloc "
              "(memory.peak_kib.*); no-op unless telemetry is enabled",
-    )
-    parser.add_argument(
-        "--profile-resources",
-        type=float,
-        default=None,
-        metavar="HZ",
-        help="sample RSS/CPU/heap at HZ into the run report's "
-             f"resource profile (bare flag = {obs_resources.DEFAULT_HZ:g} "
-             "Hz); workers sample themselves and ship rollups home",
-    )
-    parser.add_argument(
-        "--flame-out",
-        metavar="PATH",
-        default=None,
-        help="enable telemetry, sample the call stack on a background "
-             "thread and write the span-attributed repro.flame/v1 "
-             "profile to PATH; inspect/export with 'stats flame'",
-    )
-    parser.add_argument(
-        "--flame-hz",
-        type=float,
-        default=None,
-        metavar="HZ",
-        help=f"stack-sampling rate for --flame-out (default: "
-             f"{obs_prof.DEFAULT_HZ:g} Hz); workers sample themselves "
-             "and ship stack tables home",
-    )
-    parser.add_argument(
-        "--events-out",
-        metavar="PATH.jsonl",
-        default=None,
-        help="stream live repro.events/v1 JSONL events (progress, "
-             "heartbeats, stall warnings) to PATH while the run "
-             "executes; validate with 'stats events'",
     )
     parser.add_argument(
         "--progress",
@@ -950,94 +988,28 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ACTION",
         help="longitudinal actions (omit to profile a fresh run)",
     )
-    diff = stats_sub.add_parser(
-        "diff",
-        help="compare two run reports; exit 1 on a perf regression",
+    check = stats_sub.add_parser(
+        "check",
+        help="run every gate on a run bundle (--obs-dir); exit 1 when a "
+             "gate fails, 2 when an input cannot be read or judged",
     )
-    diff.add_argument("old", metavar="OLD.json",
-                      help="baseline run report")
-    diff.add_argument("new", metavar="NEW.json",
-                      help="candidate run report")
-    diff.add_argument(
-        "--max-ratio",
-        type=float,
-        default=1.5,
-        help="new/old span wall-time ratio that fails the gate "
-             "(default: 1.5)",
+    check.add_argument(
+        "bundle", metavar="DIR", help="run bundle written by --obs-dir"
     )
-    diff.add_argument(
-        "--noise-floor-ms",
-        type=float,
-        default=5.0,
-        help="spans under this total in both runs are never judged "
-             "(default: 5)",
+    check.add_argument(
+        "--baseline",
+        metavar="BASE",
+        default=None,
+        help="baseline directory: diff against BASE/report.json and "
+             "apply the limits in BASE/thresholds.json",
     )
-    diff.add_argument(
-        "--counter-tolerance",
-        type=float,
-        default=0.0,
-        help="relative counter change reported as drift (default: 0, "
-             "i.e. any change)",
-    )
-    diff.add_argument(
-        "--gauge-tolerance",
-        type=float,
-        default=0.25,
-        help="relative gauge change reported as drift (default: 0.25)",
-    )
-    diff.add_argument(
-        "--fail-on-drift",
-        action="store_true",
-        help="counter/gauge drift also fails the gate",
-    )
-    diff.add_argument(
-        "--retention-tolerance",
-        type=float,
-        default=0.05,
-        help="absolute funnel-retention change that counts as data "
-             "drift (default: 0.05)",
-    )
-    diff.add_argument(
-        "--quantile-tolerance",
-        type=float,
-        default=0.25,
-        help="relative distribution-quantile change that counts as "
-             "data drift (default: 0.25)",
-    )
-    diff.add_argument(
-        "--no-fail-on-data-drift",
-        action="store_true",
-        help="report funnel/quantile data drift without failing the "
-             "gate (it fails by default)",
-    )
-    diff.add_argument(
-        "--max-rss-ratio",
-        type=float,
-        default=1.5,
-        help="new/old peak-RSS ratio that counts as resource drift "
-             "(default: 1.5); judged only when both reports carry a "
-             "resource profile",
-    )
-    diff.add_argument(
-        "--cpu-util-tolerance",
-        type=float,
-        default=0.25,
-        help="absolute cpu_util change that counts as resource drift "
-             "(default: 0.25)",
-    )
-    diff.add_argument(
-        "--no-fail-on-resource-drift",
-        action="store_true",
-        help="report RSS/cpu_util resource drift without failing the "
-             "gate (it fails by default)",
-    )
-    diff.add_argument(
+    check.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
-        help="diff output format (default: text)",
+        help="verdict output format (default: text)",
     )
-    diff.set_defaults(handler=cmd_stats_diff)
+    check.set_defaults(handler=cmd_stats_check)
     funnel = stats_sub.add_parser(
         "funnel",
         help="render a run report's data-lineage funnel; exit 1 if any "
@@ -1067,7 +1039,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         metavar="N",
-        help="how many most-recent entries to show (default: 10)",
+        help="how many most-recent entries to show (default: 10; 0 "
+             "shows none)",
     )
     history.add_argument(
         "--name",
@@ -1108,11 +1081,10 @@ def build_parser() -> argparse.ArgumentParser:
     resources = stats_sub.add_parser(
         "resources",
         help="render and validate a run report's resource profile; "
-             "exit 1 on schema damage or a budget breach",
+             "exit 1 on schema damage",
     )
     resources.add_argument(
-        "report", metavar="REPORT.json",
-        help="run report (written with --profile-resources) to inspect",
+        "report", metavar="REPORT.json", help="run report to inspect"
     )
     resources.add_argument(
         "--format",
@@ -1120,24 +1092,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="profile output format (default: text)",
     )
-    resources.add_argument(
-        "--budget",
-        metavar="BUDGET.json",
-        default=None,
-        help="repro.resource-budget/v1 file to gate the profile's "
-             "totals against (e.g. benchmarks/baselines/"
-             "resource-budget.json)",
-    )
     resources.set_defaults(handler=cmd_stats_resources)
     flame = stats_sub.add_parser(
         "flame",
-        help="render/export a stored repro.flame/v1 stack profile; "
-             "--diff gates per-stage hot-frame drift",
+        help="render/export a run report's repro.flame/v1 stack "
+             "profile",
     )
     flame.add_argument(
-        "profile", metavar="PROFILE.json",
-        help="flame profile (--flame-out) or a run report carrying a "
-             "flame_profile section",
+        "report", metavar="REPORT.json", help="run report to inspect"
     )
     flame.add_argument(
         "--top",
@@ -1151,27 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default: text); 'collapsed' is "
              "flamegraph.pl input, 'speedscope' loads in speedscope.app",
-    )
-    flame.add_argument(
-        "--diff",
-        metavar="BASELINE.json",
-        default=None,
-        help="baseline flame profile; exit 1 when any frame's "
-             "per-stage self-time share grew past --share-tolerance",
-    )
-    flame.add_argument(
-        "--share-tolerance",
-        type=float,
-        default=obs_prof.DEFAULT_SHARE_TOLERANCE,
-        help="absolute per-stage self-share growth that fails the "
-             f"--diff gate (default: {obs_prof.DEFAULT_SHARE_TOLERANCE:g})",
-    )
-    flame.add_argument(
-        "--min-share",
-        type=float,
-        default=obs_prof.DEFAULT_MIN_SHARE,
-        help="frames under this share in both runs are never judged "
-             f"(default: {obs_prof.DEFAULT_MIN_SHARE:g})",
     )
     flame.set_defaults(handler=cmd_stats_flame)
     lint = subparsers.add_parser(
@@ -1246,150 +1187,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_bare_profile_flag(argv: List[str]) -> List[str]:
-    """Give a bare ``--profile-resources`` its default rate.
+def _dispatch(args) -> int:
+    """Run the command; a stats input it cannot read or judge exits 2."""
+    try:
+        return args.handler(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    The flag takes an optional HZ; with plain argparse an HZ-less use
-    would greedily eat the next token (usually the subcommand).  A
-    bare occurrence — one whose following token is not a number — is
-    rewritten to ``--profile-resources=<DEFAULT_HZ>`` before parsing.
-    """
-    expanded: List[str] = []
-    for index, token in enumerate(argv):
-        if token == "--profile-resources":
-            following = argv[index + 1] if index + 1 < len(argv) else ""
-            try:
-                float(following)
-            except ValueError:
-                token = f"--profile-resources={obs_resources.DEFAULT_HZ:g}"
-        expanded.append(token)
-    return expanded
+
+def _bundle_error(exc: OSError) -> int:
+    print(f"error: cannot write observability output: {exc}", file=sys.stderr)
+    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = parser.parse_args(_expand_bare_profile_flag(argv))
+    args = parser.parse_args(argv)
     if not 1 <= args.workers <= MAX_WORKERS:
         parser.error(f"--workers must be in [1, {MAX_WORKERS}]")
-    for flag, hz in (
-        ("--profile-resources", args.profile_resources),
-        ("--flame-hz", args.flame_hz),
-    ):
-        if hz is not None and not 0 < hz <= 1000:
-            parser.error(f"{flag} HZ must be in (0, 1000]")
     configure_logging(args.log_level)
-    telemetry_on = (
-        args.metrics_out is not None
-        or args.trace_out is not None
-        or args.flame_out is not None
-        or args.handler is cmd_stats  # a bare stats run profiles itself
-    )
-    flame_hz = _effective_flame_hz(args)
-    events_on = args.events_out is not None or args.progress
-    for flag, given in (
-        ("--memory", args.memory),
-        ("--profile-resources", args.profile_resources is not None),
-    ):
-        if given and not telemetry_on:
-            # Alone, these flags are documented no-ops (the null registry
-            # stays installed, nothing is sampled) — but say so, because
-            # a silent no-op reads as a bug.
-            print(
-                f"warning: {flag} does nothing without a telemetry sink; "
-                "add --metrics-out PATH or --trace-out PATH",
-                file=sys.stderr,
-            )
-    if (
-        args.flame_hz is not None
-        and args.flame_out is None
-        and args.handler is not cmd_stats  # a bare stats run honours it
-    ):
+    observed = _observed(args)
+    if args.memory and not observed:
+        # Alone, --memory is a documented no-op (the null registry stays
+        # installed) — but say so, because a silent no-op reads as a bug.
         print(
-            "warning: --flame-hz does nothing without --flame-out PATH",
+            "warning: --memory does nothing without a telemetry sink; "
+            "add --obs-dir DIR",
             file=sys.stderr,
         )
-    if not telemetry_on and not events_on:
-        return args.handler(args)
+    if not observed and not args.progress:
+        return _dispatch(args)
+    bundle = Path(args.obs_dir) if args.obs_dir is not None else None
     stream = None
     telemetry = None
-    try:
-        with ExitStack() as stack:
-            if events_on:
-                # The event stream is independent of the report sinks:
-                # --events-out/--progress alone still get live events
-                # (and an in-memory tail for the trace exporter).
-                listeners = (_ProgressRenderer(),) if args.progress else ()
-                stream = stack.enter_context(
-                    obs_events.stream_events(
-                        args.events_out, listeners=listeners
-                    )
-                )
-            if telemetry_on:
-                enable = capture_memory if args.memory else obs.capture
-                telemetry = stack.enter_context(enable())
-                # Started before the cli.* span opens and stopped after
-                # it closes, so every reading lands inside a known stage
-                # (or the synthetic top-level bucket).
-                stack.enter_context(sample(
-                    telemetry,
-                    profile_hz=args.profile_resources,
-                    flame_hz=flame_hz,
+    with ExitStack() as stack:
+        if bundle is not None or args.progress:
+            # --progress alone keeps the stream in memory.
+            listeners = (_ProgressRenderer(),) if args.progress else ()
+            try:
+                stream = stack.enter_context(obs_events.stream_events(
+                    bundle / EVENTS_FILE if bundle is not None else None,
+                    listeners=listeners,
                 ))
-                stack.enter_context(obs.span(f"cli.{args.command}"))
-            status = args.handler(args)
-    except OSError as exc:
-        print(
-            f"error: cannot write observability output: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.events_out is not None:
-        print(f"event stream written to {args.events_out}", file=sys.stderr)
+            except OSError as exc:
+                return _bundle_error(exc)
+        if observed:
+            enable = capture_memory if args.memory else obs.capture
+            telemetry = stack.enter_context(enable())
+            # Started before the cli.* span opens and stopped after it
+            # closes, so every reading lands inside a known stage (or
+            # the synthetic top-level bucket).
+            stack.enter_context(sample(
+                telemetry,
+                profile_hz=obs_resources.DEFAULT_HZ,
+                flame_hz=obs_prof.DEFAULT_HZ,
+            ))
+            stack.enter_context(obs.span(f"cli.{args.command}"))
+        status = _dispatch(args)
     if telemetry is None:
         return status
-    meta: Dict[str, Any] = dict(
+    report = RunReport.from_telemetry(
+        telemetry,
         command=args.command,
         preset=getattr(args, "preset", None),
         seed=args.seed,
         version=__version__,
         exit_status=status,
         memory=args.memory,
+        profile_hz=obs_resources.DEFAULT_HZ,
+        flame_hz=obs_prof.DEFAULT_HZ,
     )
-    if args.profile_resources is not None:
-        meta["profile_hz"] = args.profile_resources
-    if flame_hz is not None:
-        meta["flame_hz"] = flame_hz
-    report = RunReport.from_telemetry(telemetry, **meta)
     if args.handler is cmd_stats:
         print(report.render_summary(top=args.top))
+    if bundle is None:
+        return status
     try:
-        if args.metrics_out is not None:
-            path = report.write(args.metrics_out)
-            print(f"run report written to {path}", file=sys.stderr)
-        if args.flame_out is not None:
-            flame_path = Path(args.flame_out)
-            if flame_path.parent != Path(""):
-                flame_path.parent.mkdir(parents=True, exist_ok=True)
-            flame_path.write_text(json.dumps(
-                telemetry.flame_profile or {}, indent=2, sort_keys=True
-            ) + "\n")
-            print(
-                f"flame profile written to {flame_path}", file=sys.stderr
-            )
-        if args.trace_out is not None:
-            path = write_trace(
-                report,
-                args.trace_out,
-                events=stream.events if stream is not None else None,
-            )
-            print(f"chrome trace written to {path}", file=sys.stderr)
+        report.write(bundle / REPORT_FILE)
+        write_trace(report, bundle / TRACE_FILE, events=stream.events)
     except OSError as exc:
-        print(
-            f"error: cannot write observability output: {exc}",
-            file=sys.stderr,
-        )
-        return 1
+        return _bundle_error(exc)
+    print(f"run bundle written to {bundle}", file=sys.stderr)
     return status
 
 

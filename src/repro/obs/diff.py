@@ -5,8 +5,8 @@ objects up span-by-span (flattened to their ``" > "``-joined paths)
 and produces per-span wall-time deltas plus counter/gauge drift, all
 behind configurable relative thresholds so timer jitter on tiny spans
 never raises false alarms.  The result carries a machine-readable
-verdict (``"ok"`` / ``"regression"``) — the CLI's ``stats diff`` and
-the CI perf gate are thin wrappers over it.
+verdict (``"ok"`` / ``"regression"``) — the diff gate of the CLI's
+``stats check`` and the CI perf gate are thin wrappers over it.
 
 Noise handling:
 

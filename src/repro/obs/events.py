@@ -197,7 +197,7 @@ def stream_events(
     """Install a stream for a block, restoring the previous one after.
 
     ``path`` of ``None`` keeps the stream in-memory only (used by
-    ``--progress`` without ``--events-out``).  The stream brackets the
+    ``--progress`` without ``--obs-dir``).  The stream brackets the
     block with ``heartbeat`` events (``source="stream"``), so even a
     run that registers no stages proves its driver was alive.
     """

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, TypeVar, Union
 
 from .report import RunReport
 
@@ -36,6 +36,14 @@ HISTORY_SCHEMA = "repro.run-history/v1"
 #: The two entry kinds the store understands.
 KIND_REPORT = "report"
 KIND_BENCHMARK = "benchmark"
+
+
+T = TypeVar("T")
+
+
+def recent(items: Sequence[T], last: int) -> Sequence[T]:
+    """The ``last`` most recent ``items``, oldest first; none for 0."""
+    return items[len(items) - last:] if last else items[:0]
 
 
 def utc_timestamp() -> str:
@@ -196,7 +204,7 @@ class RunHistory:
         entries = self.entries(name=name)
         if not entries:
             return f"no history entries in {self.path}"
-        shown = entries[-last:] if last > 0 else entries
+        shown = recent(entries, last)
         lines = [
             f"{len(entries)} entr{'y' if len(entries) == 1 else 'ies'} in "
             f"{self.path} ({len(self.names())} distinct runs), "

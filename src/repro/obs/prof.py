@@ -33,7 +33,7 @@ from .sampler import TOP_LABEL
 #: Schema identifier embedded in every serialised flame profile.
 FLAME_SCHEMA = "repro.flame/v1"
 
-#: Schema identifier of a serialised hot-frame diff (``stats flame --diff``).
+#: Schema identifier of a serialised hot-frame diff (``stats check``).
 FLAME_DIFF_SCHEMA = "repro.flame-diff/v1"
 
 #: Gauge-name prefix for the headline numbers folded into snapshots.
@@ -48,9 +48,9 @@ FLAME_GAUGES = (
     "samples",
 )
 
-#: Default sampling cadence of ``--flame-out`` runs.  A prime rate so
-#: the reader never locks step with the 10 Hz resource reader or any
-#: periodic stage work (the classic aliasing trap of fixed-rate
+#: Sampling cadence of ``--obs-dir`` runs and bare ``stats``.  A prime
+#: rate so the reader never locks step with the 10 Hz resource reader
+#: or any periodic stage work (the classic aliasing trap of fixed-rate
 #: profilers).
 DEFAULT_HZ = 97.0
 
@@ -61,11 +61,11 @@ DEFAULT_MAX_STACKS = 10_000
 #: Frames kept per sample (leaf-most survive when a stack is deeper).
 DEFAULT_MAX_DEPTH = 128
 
-#: Default ``--diff`` gate: absolute self-share growth that counts as a
-#: hot-frame regression.
+#: Default hot-frame gate: absolute self-share growth that counts as a
+#: regression.
 DEFAULT_SHARE_TOLERANCE = 0.10
 
-#: Default ``--diff`` noise floor: frames under this self-share in both
+#: Default hot-frame noise floor: frames under this self-share in both
 #: runs are never judged.
 DEFAULT_MIN_SHARE = 0.05
 
@@ -366,8 +366,8 @@ def stage_self_shares(
     """Per stage: each frame's self-time share of the stage's samples.
 
     Self time is leaf time — the samples where the frame was actually
-    executing, not merely on the stack.  This is the quantity
-    ``stats flame --diff`` gates on.
+    executing, not merely on the stack.  This is the quantity the
+    hot-frame gate of ``stats check`` judges.
     """
     frames = profile.get("frames", [])
     counts: Dict[str, Dict[str, int]] = {}
@@ -476,7 +476,7 @@ class FrameShift:
 
 @dataclass
 class FlameDiff:
-    """Hot-frame comparison of two profiles (``stats flame --diff``)."""
+    """Hot-frame comparison of two profiles (``stats check``)."""
 
     regressions: List[FrameShift]
     improvements: List[FrameShift]
@@ -525,12 +525,13 @@ def diff_flame(
 ) -> FlameDiff:
     """Compare per-stage frame self-time shares with a noise floor.
 
-    The frame-level sibling of ``stats diff``: for every stage sampled
-    in both profiles, a frame whose self-time share of the stage grew
-    by more than ``share_tolerance`` (absolute) is a regression — but
-    frames under ``min_share`` in *both* runs are never judged, so
-    sampling noise on cold frames cannot trip the gate.  Stages present
-    in only one profile are skipped (there is nothing to compare).
+    The frame-level sibling of :func:`repro.obs.diff.diff_reports`:
+    for every stage sampled in both profiles, a frame whose self-time
+    share of the stage grew by more than ``share_tolerance``
+    (absolute) is a regression — but frames under ``min_share`` in
+    *both* runs are never judged, so sampling noise on cold frames
+    cannot trip the gate.  Stages present in only one profile are
+    skipped (there is nothing to compare).
     """
     old_shares = stage_self_shares(old)
     new_shares = stage_self_shares(new)

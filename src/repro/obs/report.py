@@ -4,7 +4,7 @@ A :class:`RunReport` freezes one pipeline run's telemetry — the span
 tree, counters and gauges, plus free-form metadata about the run (the
 command, preset, seed, package version) — into a stable JSON document
 (schema :data:`SCHEMA`), and renders the same data as a human summary
-table.  The CLI's ``--metrics-out`` flag and the ``stats`` subcommand
+table.  The CLI's ``--obs-dir`` bundle and the ``stats`` subcommand
 are thin wrappers around this module.
 """
 

@@ -56,7 +56,7 @@ ROLLUP_GAUGES = (
     "samples",
 )
 
-#: Default sampling cadence of ``--profile-resources`` without a value.
+#: Sampling cadence of ``--obs-dir`` runs and bare ``stats``.
 DEFAULT_HZ = 10.0
 
 #: Ring-buffer capacity: at 10 Hz this holds ~7 minutes of samples;

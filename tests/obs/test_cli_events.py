@@ -1,12 +1,12 @@
 """CLI surface of the live-telemetry layer.
 
-Covers the ISSUE acceptance paths: an instrumented ``table1`` run with
-``--events-out`` produces a schema-valid stream (heartbeats, one
-terminal ``progress`` per instrumented stage), ``stats events``
-validates it (exit 0) and names damage (exit 1), ``--progress``
-renders live bars on stderr, and the degraded-input paths of
-``stats funnel``/``stats diff`` fail with one actionable line and
-exit 2 — never a traceback.
+An instrumented ``table1`` run with ``--obs-dir`` streams a
+schema-valid ``events.jsonl`` (heartbeats, one terminal ``progress``
+per instrumented stage), ``stats events`` validates it (exit 0) and
+names damage (exit 1), ``--progress`` renders live bars on stderr, and
+the degraded-input paths of ``stats funnel`` and ``stats check``'s
+report diff fail with one actionable line and exit 2 — never a
+traceback.
 """
 
 import json
@@ -27,18 +27,9 @@ FRESH_SEED = "911"
 
 
 @pytest.fixture(scope="module")
-def events_run(tmp_path_factory):
-    """One instrumented table1 run: events + metrics side by side."""
-    root = tmp_path_factory.mktemp("events-run")
-    events_path = root / "events.jsonl"
-    report_path = root / "run.json"
-    status = main([
-        "--events-out", str(events_path),
-        "--metrics-out", str(report_path),
-        "--seed", FRESH_SEED, "table1",
-    ])
-    assert status == 0
-    return events_path, report_path
+def events_run(run_bundle):
+    """The shared instrumented table1 run: events + report side by side."""
+    return run_bundle / "events.jsonl", run_bundle / "report.json"
 
 
 class TestEventsOut:
@@ -90,13 +81,14 @@ class TestEventsOut:
         status_plain = main(["--seed", FRESH_SEED, "table1"])
         plain = capsys.readouterr()
         status_events = main([
-            "--events-out", str(tmp_path / "ev.jsonl"),
+            "--obs-dir", str(tmp_path / "run"),
             "--seed", FRESH_SEED, "table1",
         ])
         instrumented = capsys.readouterr()
         assert status_plain == status_events == 0
         assert plain.out == instrumented.out
-        assert "event stream written to" in instrumented.err
+        assert "run bundle written to" in instrumented.err
+        assert load_events(tmp_path / "run" / "events.jsonl")
 
 
 class TestProgressFlag:
@@ -238,22 +230,23 @@ class TestDegradedReports:
         assert "Traceback" not in captured.err
 
     def test_diff_with_malformed_funnel_exits_two(
-        self, events_run, tmp_path, capsys
+        self, run_bundle, bundle_copy, capsys
     ):
-        _, report_path = events_run
-        document = json.loads(report_path.read_text())
-        # A funnel stage missing its "stage" key: the shape an older
-        # (or hand-edited) writer could leave behind.
-        document["data_quality"]["funnel"] = [{"unit": "peers"}]
-        broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(document))
+        # A baseline funnel stage missing its "stage" key: the shape an
+        # older (or hand-edited) writer could leave behind.
+        base = bundle_copy(
+            "old",
+            lambda data: data["data_quality"].update(
+                funnel=[{"unit": "peers"}]
+            ),
+        )
         status = main([
-            "stats", "diff", str(report_path), str(broken)
+            "stats", "check", str(run_bundle), "--baseline", str(base)
         ])
         captured = capsys.readouterr()
         assert status == 2
-        assert "cannot diff reports" in captured.err
-        assert "regenerate" in captured.err
+        assert "diff        error    cannot diff reports" in captured.out
+        assert "regenerate" in captured.out
         assert "Traceback" not in captured.err
 
 
@@ -261,12 +254,10 @@ class TestTraceIntegration:
     def test_events_fold_into_trace_as_instant_marks(
         self, tmp_path, capsys
     ):
-        trace_path = tmp_path / "trace.json"
-        events_path = tmp_path / "ev.jsonl"
+        trace_path = tmp_path / "run" / "trace.json"
+        events_path = tmp_path / "run" / "events.jsonl"
         status = main([
-            "--events-out", str(events_path),
-            "--trace-out", str(trace_path),
-            "--seed", "913", "table1",
+            "--obs-dir", str(tmp_path / "run"), "--seed", "913", "table1",
         ])
         assert status == 0
         document = json.loads(trace_path.read_text())

@@ -1,11 +1,10 @@
 """CLI surface of the stack profiler.
 
-Covers the ISSUE acceptance paths: ``--flame-out`` captures a
-validating ``repro.flame/v1`` document (and embeds it in the run
-report) without changing the rendered experiment output; ``stats
-flame`` renders and exports it; the ``--diff`` hot-frame gate exits 1
-on a doctored regression; degraded inputs exit 2 with one actionable
-line.
+An ``--obs-dir`` run embeds a validating ``repro.flame/v1`` section in
+its run report without changing the rendered experiment output;
+``stats flame`` renders and exports it; ``stats check``'s hot-frame
+gate exits 1 on a doctored regression; degraded inputs exit 2 with
+one actionable line.
 """
 
 import json
@@ -47,44 +46,47 @@ def make_profile(stage_frames):
 
 
 @pytest.fixture(scope="module")
-def flamed_run(tmp_path_factory):
-    """One instrumented table1 run with a flame profile + run report."""
-    root = tmp_path_factory.mktemp("flamed-run")
-    report_path = root / "run.json"
-    flame_path = root / "flame.json"
-    status = main([
-        "--metrics-out", str(report_path),
-        "--flame-out", str(flame_path),
-        "--flame-hz", "400",
-        "--seed", FRESH_SEED, "table1",
-    ])
-    assert status == 0
-    return report_path, flame_path
+def flamed_run(run_bundle):
+    """The shared instrumented table1 run: its report and the report's
+    flame section."""
+    report_path = run_bundle / "report.json"
+    return report_path, RunReport.load(report_path).flame_profile
+
+
+def write_flamed_report(path, profile):
+    """A minimal run report carrying ``profile`` as its flame section."""
+    path.write_text(json.dumps(
+        {**RunReport().to_dict(), "flame_profile": profile}
+    ))
+    return path
 
 
 class TestFlamedRun:
     def test_written_document_validates(self, flamed_run):
-        _, flame_path = flamed_run
-        profile = json.loads(flame_path.read_text())
+        _, profile = flamed_run
         assert profile["schema"] == FLAME_SCHEMA
-        assert profile["hz"] == 400.0
+        assert profile["hz"] == 97.0
         assert profile["sample_count"] >= 1
         assert validate_flame(profile) == []
 
-    def test_report_embeds_the_same_section(self, flamed_run):
-        report_path, _ = flamed_run
-        report = RunReport.load(report_path)
-        assert report.flame_profile["schema"] == FLAME_SCHEMA
-        assert validate_flame(report.flame_profile) == []
+    def test_report_embeds_the_same_section(self, flamed_run, capsys):
+        # The report is the only flame document: stats flame exports
+        # exactly the embedded section.
+        report_path, profile = flamed_run
+        assert main([
+            "stats", "flame", str(report_path), "--format", "json",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["profile"] == profile
+        assert not (report_path.parent / "flame.json").exists()
 
     def test_meta_records_flame_hz(self, flamed_run):
         report_path, _ = flamed_run
-        assert RunReport.load(report_path).meta["flame_hz"] == 400.0
+        assert RunReport.load(report_path).meta["flame_hz"] == 97.0
 
     def test_headline_gauges_present(self, flamed_run):
         report_path, _ = flamed_run
         gauges = RunReport.load(report_path).gauges
-        assert gauges["prof.hz"] == 400.0
+        assert gauges["prof.hz"] == 97.0
         assert gauges["prof.samples"] >= 1
         assert gauges["prof.dropped"] >= 0
 
@@ -92,13 +94,12 @@ class TestFlamedRun:
         report_path, _ = flamed_run
         summary = RunReport.load(report_path).render_summary()
         assert "flame profile:" in summary
-        assert "sampled at 400 Hz" in summary
+        assert "sampled at 97 Hz" in summary
 
     def test_no_leaf_frame_is_arming_code(self, flamed_run):
         # Stacks are read on sampler ticks only: a read inside the
         # arming call would see nothing but contextlib and the sampler.
-        _, flame_path = flamed_run
-        profile = json.loads(flame_path.read_text())
+        _, profile = flamed_run
         frames = profile["frames"]
         leaves = {
             frames[stack["frames"][-1]]["file"]
@@ -113,23 +114,23 @@ class TestFlamedRun:
 
 class TestStatsFlame:
     def test_renders_top_frames(self, flamed_run, capsys):
-        _, flame_path = flamed_run
-        assert main(["stats", "flame", str(flame_path)]) == 0
+        report_path, _ = flamed_run
+        assert main(["stats", "flame", str(report_path)]) == 0
         out = capsys.readouterr().out
-        assert "sampled at 400 Hz" in out
+        assert "sampled at 97 Hz" in out
         assert "frame" in out
 
     def test_accepts_a_run_report_too(self, flamed_run, capsys):
         report_path, _ = flamed_run
         assert main(["stats", "flame", str(report_path)]) == 0
-        assert "sampled at 400 Hz" in capsys.readouterr().out
+        assert "sampled at 97 Hz" in capsys.readouterr().out
 
     def test_json_format_carries_profile_and_ranking(
         self, flamed_run, capsys
     ):
-        _, flame_path = flamed_run
+        report_path, _ = flamed_run
         assert main([
-            "stats", "flame", str(flame_path), "--format", "json",
+            "stats", "flame", str(report_path), "--format", "json",
         ]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["valid"] is True
@@ -137,9 +138,9 @@ class TestStatsFlame:
         assert len(document["top"]) <= 10
 
     def test_collapsed_format_is_flamegraph_input(self, flamed_run, capsys):
-        _, flame_path = flamed_run
+        report_path, _ = flamed_run
         assert main([
-            "stats", "flame", str(flame_path), "--format", "collapsed",
+            "stats", "flame", str(report_path), "--format", "collapsed",
         ]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines
@@ -149,9 +150,9 @@ class TestStatsFlame:
             assert ";" in stack or stack  # stage-rooted folded path
 
     def test_speedscope_format_is_loadable(self, flamed_run, capsys):
-        _, flame_path = flamed_run
+        report_path, _ = flamed_run
         assert main([
-            "stats", "flame", str(flame_path), "--format", "speedscope",
+            "stats", "flame", str(report_path), "--format", "speedscope",
         ]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["$schema"].endswith("file-format-schema.json")
@@ -162,99 +163,108 @@ class TestStatsFlameDegraded:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         status = main(["stats", "flame", str(tmp_path / "nope.json")])
         assert status == 2
-        assert "cannot load flame profile" in capsys.readouterr().err
+        assert "cannot load run report" in capsys.readouterr().err
 
     def test_schema_invalid_document_exits_2(self, tmp_path, capsys):
         doctored = make_profile({"x.y": [("a", 5)]})
         doctored["stacks"][0]["count"] = 99  # break count conservation
-        path = tmp_path / "broken.json"
-        path.write_text(json.dumps(doctored))
+        path = write_flamed_report(tmp_path / "broken.json", doctored)
         assert main(["stats", "flame", str(path)]) == 2
         assert "flame profile INVALID" in capsys.readouterr().err
 
-    def test_report_without_flame_section_exits_2(self, tmp_path, capsys):
-        report_path = tmp_path / "bare.json"
-        status = main([
-            "--metrics-out", str(report_path),
-            "--seed", FRESH_SEED, "table1",
-        ])
-        assert status == 0
-        capsys.readouterr()
-        assert main(["stats", "flame", str(report_path)]) == 2
+    def test_report_without_flame_section_exits_2(self, bundle_copy, capsys):
+        bundle = bundle_copy("bare", lambda d: d.pop("flame_profile"))
+        assert main(["stats", "flame", str(bundle / "report.json")]) == 2
         err = capsys.readouterr().err
-        assert "regenerate it with --flame-out" in err
+        assert "regenerate it with --obs-dir" in err
 
-    def test_invalid_diff_baseline_exits_2(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(make_profile({"x.y": [("a", 5)]})))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+    def test_invalid_diff_baseline_exits_2(
+        self, run_bundle, bundle_copy, capsys
+    ):
+        base = bundle_copy("base")
+        (base / "report.json").write_text("{not json")
         status = main([
-            "stats", "flame", str(good), "--diff", str(bad),
+            "stats", "check", str(run_bundle), "--baseline", str(base),
         ])
         assert status == 2
-        assert "cannot load flame profile" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "flame-diff  error    cannot load run report" in out
 
 
 class TestHotFrameGate:
-    def _write(self, tmp_path, name, stage_frames):
-        path = tmp_path / name
-        path.write_text(json.dumps(make_profile(stage_frames)))
-        return str(path)
+    """The hot-frame gate of ``stats check``: both bundles carry flames."""
 
-    def test_self_diff_is_clean(self, flamed_run, capsys):
-        _, flame_path = flamed_run
+    def _bundle(self, bundle_copy, name, stage_frames):
+        profile = make_profile(stage_frames)
+        return bundle_copy(
+            name, lambda data: data.update(flame_profile=profile)
+        )
+
+    def _base(self, bundle_copy, name, stage_frames, **flame):
+        base = self._bundle(bundle_copy, name, stage_frames)
+        (base / "thresholds.json").write_text(json.dumps({"flame": flame}))
+        return str(base)
+
+    def test_self_diff_is_clean(self, run_bundle, capsys):
         status = main([
-            "stats", "flame", str(flame_path), "--diff", str(flame_path),
+            "stats", "check", str(run_bundle), "--baseline", str(run_bundle),
         ])
         assert status == 0
-        assert "verdict: ok" in capsys.readouterr().out
+        assert "flame-diff  ok       verdict: ok" in capsys.readouterr().out
 
-    def test_doctored_regression_exits_1(self, tmp_path, capsys):
-        old = self._write(
-            tmp_path, "old.json",
+    def test_doctored_regression_exits_1(self, bundle_copy, capsys):
+        old = self._base(
+            bundle_copy, "old",
             {"pipeline.mapping": [("lookup", 2), ("build", 8)]},
         )
-        new = self._write(
-            tmp_path, "new.json",
+        new = self._bundle(
+            bundle_copy, "new",
             {"pipeline.mapping": [("lookup", 8), ("build", 2)]},
         )
-        status = main(["stats", "flame", new, "--diff", old])
+        status = main(["stats", "check", str(new), "--baseline", old])
         assert status == 1
         captured = capsys.readouterr()
-        assert "hot-frame regression gate FAILED" in captured.err
+        assert "flame-diff  failed   verdict: hot-frame-regression" in (
+            captured.out
+        )
         assert "pipeline.mapping" in captured.err
         assert "lookup" in captured.err
 
-    def test_tolerance_flag_widens_the_gate(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", {"x.y": [("a", 5), ("b", 5)]})
-        new = self._write(tmp_path, "new.json", {"x.y": [("a", 7), ("b", 3)]})
-        assert main(["stats", "flame", new, "--diff", old]) == 1
+    def test_tolerance_flag_widens_the_gate(self, bundle_copy, capsys):
+        # share_tolerance in the baseline's thresholds.json.
+        frames = {"x.y": [("a", 5), ("b", 5)]}
+        new = str(self._bundle(
+            bundle_copy, "new", {"x.y": [("a", 7), ("b", 3)]}
+        ))
+        strict = self._base(bundle_copy, "strict", frames)
+        assert main(["stats", "check", new, "--baseline", strict]) == 1
+        loose = self._base(bundle_copy, "loose", frames, share_tolerance=0.5)
+        assert main(["stats", "check", new, "--baseline", loose]) == 0
         capsys.readouterr()
-        assert main([
-            "stats", "flame", new, "--diff", old, "--share-tolerance", "0.5",
-        ]) == 0
 
-    def test_min_share_flag_raises_the_noise_floor(self, tmp_path, capsys):
-        old = self._write(
-            tmp_path, "old.json", {"x.y": [("cold", 1), ("hot", 9)]}
+    def test_min_share_flag_raises_the_noise_floor(self, bundle_copy, capsys):
+        # min_share in the baseline's thresholds.json.
+        old = self._base(
+            bundle_copy, "old", {"x.y": [("cold", 1), ("hot", 9)]},
+            share_tolerance=0.05, min_share=0.25,
         )
-        new = self._write(
-            tmp_path, "new.json", {"x.y": [("cold", 2), ("hot", 8)]}
+        new = self._bundle(
+            bundle_copy, "new", {"x.y": [("cold", 2), ("hot", 8)]}
         )
-        assert main([
-            "stats", "flame", new, "--diff", old,
-            "--share-tolerance", "0.05", "--min-share", "0.25",
-        ]) == 0
+        assert main(["stats", "check", str(new), "--baseline", old]) == 0
+        capsys.readouterr()
 
-    def test_json_diff_output(self, tmp_path, capsys):
-        old = self._write(tmp_path, "old.json", {"x.y": [("a", 1), ("b", 9)]})
-        new = self._write(tmp_path, "new.json", {"x.y": [("a", 9), ("b", 1)]})
+    def test_json_diff_output(self, bundle_copy, capsys):
+        old = self._base(bundle_copy, "old", {"x.y": [("a", 1), ("b", 9)]})
+        new = self._bundle(bundle_copy, "new", {"x.y": [("a", 9), ("b", 1)]})
         status = main([
-            "stats", "flame", new, "--diff", old, "--format", "json",
+            "stats", "check", str(new), "--baseline", old, "--format", "json",
         ])
         assert status == 1
-        document = json.loads(capsys.readouterr().out)
+        gates = {
+            g["gate"]: g for g in json.loads(capsys.readouterr().out)["gates"]
+        }
+        document = gates["flame-diff"]["document"]
         assert document["verdict"] == "hot-frame-regression"
         assert document["regressions"]
 
@@ -265,23 +275,10 @@ class TestZeroCostContract:
     ):
         assert main(["--seed", FRESH_SEED, "table1"]) == 0
         plain = capsys.readouterr().out
-        flame_path = tmp_path / "flame.json"
+        bundle = tmp_path / "run"
         assert main([
-            "--flame-out", str(flame_path),
-            "--seed", FRESH_SEED, "table1",
+            "--obs-dir", str(bundle), "--seed", FRESH_SEED, "table1",
         ]) == 0
         captured = capsys.readouterr()
         assert captured.out == plain  # byte-identical experiment output
-        assert "flame profile written to" in captured.err
-        assert flame_path.exists()
-
-    def test_flame_hz_alone_warns_and_changes_nothing(self, capsys):
-        assert main(["--flame-hz", "50", "--seed", FRESH_SEED, "table1"]) == 0
-        err = capsys.readouterr().err
-        assert "warning: --flame-hz does nothing without --flame-out" in err
-
-    def test_flame_hz_out_of_range_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            main(["--flame-hz", "0", "table1"])
-        with pytest.raises(SystemExit):
-            main(["--flame-hz", "5000", "table1"])
+        assert RunReport.load(bundle / "report.json").flame_profile

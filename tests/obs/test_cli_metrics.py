@@ -25,13 +25,12 @@ def _span_names(report: RunReport) -> set:
 
 
 class TestMetricsOut:
+    """The run report ``--obs-dir`` writes into its bundle."""
+
     def test_table1_writes_run_report(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        status = main(
-            ["--metrics-out", str(path), "--seed", "91", "table1"]
-        )
+        status = main(["--obs-dir", str(tmp_path), "--seed", "91", "table1"])
         assert status == 0
-        report = RunReport.load(path)
+        report = RunReport.load(tmp_path / "report.json")
         assert report.meta["command"] == "table1"
         assert report.meta["preset"] == "small"
         assert report.meta["seed"] == 91
@@ -45,14 +44,12 @@ class TestMetricsOut:
         assert "crawl.peers_sampled" in report.counters
 
     def test_report_is_valid_json_on_disk(self, tmp_path, capsys):
-        path = tmp_path / "run.json"
-        main(["--metrics-out", str(path), "--seed", "91", "table1"])
-        data = json.loads(path.read_text())
+        main(["--obs-dir", str(tmp_path), "--seed", "91", "table1"])
+        data = json.loads((tmp_path / "report.json").read_text())
         assert data["schema"] == "repro.run-report/v1"
 
     def test_telemetry_disabled_after_run(self, tmp_path, capsys):
-        main(["--metrics-out", str(tmp_path / "r.json"), "--seed", "91",
-              "table1"])
+        main(["--obs-dir", str(tmp_path), "--seed", "91", "table1"])
         assert not obs.get_telemetry().enabled
 
     def test_output_identical_with_and_without_telemetry(
@@ -61,8 +58,7 @@ class TestMetricsOut:
         status_plain = main(["--seed", "92", "table1"])
         plain = capsys.readouterr().out
         status_instrumented = main(
-            ["--metrics-out", str(tmp_path / "r.json"), "--seed", "92",
-             "table1"]
+            ["--obs-dir", str(tmp_path), "--seed", "92", "table1"]
         )
         instrumented = capsys.readouterr().out
         assert status_plain == status_instrumented == 0
@@ -83,18 +79,17 @@ class TestStatsCommand:
         assert "target dataset:" in out
 
     def test_stats_respects_metrics_out(self, tmp_path, capsys):
-        path = tmp_path / "stats.json"
-        status = main(["--metrics-out", str(path), "--seed", "94", "stats",
+        status = main(["--obs-dir", str(tmp_path), "--seed", "94", "stats",
                        "--profile-ases", "1"])
         assert status == 0
-        report = RunReport.load(path)
+        report = RunReport.load(tmp_path / "report.json")
         assert "kde.evaluations" in report.counters
         assert "cli.stats" in _span_names(report)
 
 
 class TestStatsProfilingFlags:
-    """Bare ``stats`` with sampling flags: the ``make profile`` path,
-    where main() arms telemetry and the sampler for the run."""
+    """Bare ``stats``: the ``make profile`` path, where main() arms
+    telemetry and the one sampler at its default rates."""
 
     def run_stats(self, capsys, *flags):
         status = main([*flags, "stats", "--profile-ases", "1"])
@@ -102,14 +97,14 @@ class TestStatsProfilingFlags:
         return capsys.readouterr().out
 
     def test_profile_resources_prints_the_resource_profile(self, capsys):
-        out = self.run_stats(capsys, "--profile-resources", "--seed", "81")
+        out = self.run_stats(capsys, "--seed", "81")
         assert "resource profile:" in out
         assert "sampled at 10 Hz" in out
 
     def test_flame_hz_prints_the_flame_profile(self, capsys):
-        out = self.run_stats(capsys, "--flame-hz", "200", "--seed", "82")
+        out = self.run_stats(capsys, "--seed", "82")
         assert "flame profile:" in out
-        assert "sampled at 200 Hz" in out
+        assert "sampled at 97 Hz" in out
 
     def test_memory_prints_the_peak_gauges(self, capsys):
         out = self.run_stats(capsys, "--memory", "--seed", "83")

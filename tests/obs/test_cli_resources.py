@@ -1,57 +1,50 @@
 """CLI surface of the resource-profile layer.
 
-Covers the ISSUE acceptance paths: an instrumented ``table1`` run with
-``--profile-resources --trace-out`` produces a validating
-``repro.resource-profile/v1`` section whose rollups appear in the run
-report summary, as Perfetto counter tracks, and in ``stats resources``
-output; the budget gate and ``stats diff``'s resource dimensions exit
-1 on doctored damage; degraded inputs exit 2 with one actionable line.
+An instrumented ``table1`` run with ``--obs-dir`` produces a
+validating ``repro.resource-profile/v1`` section whose rollups appear
+in the run report summary, as Perfetto counter tracks in the bundle's
+trace, and in ``stats resources`` output; ``stats check``'s budget
+gate and the report diff's resource dimensions exit 1 on doctored
+damage; degraded inputs exit 2 with one actionable line.
 """
 
 import json
+import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import load_thresholds, main
 from repro.obs.report import RunReport
-from repro.obs.resources import RESOURCE_BUDGET_SCHEMA
+from repro.obs.resources import RESOURCE_BUDGET_SCHEMA, validate_profile
 from repro.obs.trace import validate_trace
-
-# Fresh seed: the in-process scenario cache must not serve this file's
-# scenario from another test file's build (see test_cli_events.py).
-FRESH_SEED = "913"
 
 
 @pytest.fixture(scope="module")
-def profiled_run(tmp_path_factory):
-    """One instrumented table1 run with resource profiling + trace."""
-    root = tmp_path_factory.mktemp("profiled-run")
-    report_path = root / "run.json"
-    trace_path = root / "trace.json"
-    status = main([
-        "--metrics-out", str(report_path),
-        "--trace-out", str(trace_path),
-        "--profile-resources", "50",
-        "--seed", FRESH_SEED, "table1",
-    ])
-    assert status == 0
-    return report_path, trace_path
+def profiled_run(run_bundle):
+    """The shared instrumented table1 run: its report and trace."""
+    return run_bundle / "report.json", run_bundle / "trace.json"
+
+
+def write_baseline(root, report_path=None, **sections):
+    """A baseline directory: an optional report plus thresholds.json."""
+    root.mkdir()
+    if report_path is not None:
+        (root / "report.json").write_text(report_path.read_text())
+    (root / "thresholds.json").write_text(json.dumps(sections))
+    return root
 
 
 class TestProfiledRun:
     def test_report_carries_valid_profile(self, profiled_run):
         report_path, _ = profiled_run
-        report = RunReport.load(report_path)
-        profile = report.resource_profile
+        profile = RunReport.load(report_path).resource_profile
         assert profile["sample_count"] >= 2
-        assert profile["hz"] == 50.0
-        from repro.obs.resources import validate_profile
-
+        assert profile["hz"] == 10.0
         assert validate_profile(profile) == []
 
     def test_meta_records_profile_hz(self, profiled_run):
         report_path, _ = profiled_run
-        assert RunReport.load(report_path).meta["profile_hz"] == 50.0
+        assert RunReport.load(report_path).meta["profile_hz"] == 10.0
 
     def test_headline_gauges_present(self, profiled_run):
         report_path, _ = profiled_run
@@ -75,38 +68,12 @@ class TestProfiledRun:
         assert "resources.rss_kib" in names
         assert "resources.cpu_util" in names
 
-    def test_bare_flag_defaults_to_ten_hz(self, tmp_path):
-        report_path = tmp_path / "bare.json"
-        status = main([
-            "--metrics-out", str(report_path),
-            "--profile-resources",
-            "--seed", FRESH_SEED, "table1",
-        ])
-        assert status == 0
+    def test_bare_flag_defaults_to_ten_hz(self, profiled_run):
+        # --obs-dir samples resources at the one default rate.
+        report_path, _ = profiled_run
         report = RunReport.load(report_path)
         assert report.resource_profile["hz"] == 10.0
         assert report.meta["profile_hz"] == 10.0
-
-    def test_without_flag_no_profile_section(self, tmp_path):
-        report_path = tmp_path / "plain.json"
-        status = main([
-            "--metrics-out", str(report_path),
-            "--seed", FRESH_SEED, "table1",
-        ])
-        assert status == 0
-        assert RunReport.load(report_path).resource_profile == {}
-
-    def test_flag_without_sink_warns(self, tmp_path, capsys):
-        status = main([
-            "--profile-resources", "--seed", FRESH_SEED, "table1",
-        ])
-        assert status == 0
-        assert "--profile-resources does nothing" in capsys.readouterr().err
-
-    def test_invalid_hz_is_a_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["--profile-resources", "5000", "table1"])
-        assert exc.value.code == 2
 
 
 class TestStatsResources:
@@ -114,7 +81,7 @@ class TestStatsResources:
         report_path, _ = profiled_run
         assert main(["stats", "resources", str(report_path)]) == 0
         out = capsys.readouterr().out
-        assert "sampled at 50 Hz" in out
+        assert "sampled at 10 Hz" in out
         assert "totals:" in out
 
     def test_json_output_carries_document(self, profiled_run, capsys):
@@ -137,166 +104,176 @@ class TestStatsResources:
         assert main(["stats", "resources", str(bad)]) == 1
         assert "resource profile INVALID" in capsys.readouterr().err
 
-    def test_missing_section_exits_two(self, tmp_path, capsys):
-        report_path = tmp_path / "plain.json"
-        main(["--metrics-out", str(report_path),
-              "--seed", FRESH_SEED, "table1"])
-        assert main(["stats", "resources", str(report_path)]) == 2
-        assert "--profile-resources" in capsys.readouterr().err
+    def test_missing_section_exits_two(self, bundle_copy, capsys):
+        bundle = bundle_copy("plain", lambda d: d.pop("resource_profile"))
+        assert main(["stats", "resources", str(bundle / "report.json")]) == 2
+        assert "regenerate it with --obs-dir" in capsys.readouterr().err
 
     def test_unreadable_report_exits_two(self, tmp_path, capsys):
         assert main(["stats", "resources", str(tmp_path / "nope.json")]) == 2
         assert "cannot load" in capsys.readouterr().err
 
-    def test_budget_within_limits_passes(self, profiled_run, tmp_path):
-        report_path, _ = profiled_run
-        budget = tmp_path / "budget.json"
-        budget.write_text(json.dumps({
-            "schema": RESOURCE_BUDGET_SCHEMA,
-            "max_rss_peak_kib": 10 * 1024 * 1024,
-            "max_cpu_s": 3600.0,
-        }))
-        status = main([
-            "stats", "resources", str(report_path),
-            "--budget", str(budget),
-        ])
-        assert status == 0
-
-    def test_budget_breach_exits_one(self, profiled_run, tmp_path, capsys):
-        report_path, _ = profiled_run
-        budget = tmp_path / "budget.json"
-        budget.write_text(json.dumps({
-            "schema": RESOURCE_BUDGET_SCHEMA,
-            "max_rss_peak_kib": 1.0,
-        }))
-        status = main([
-            "stats", "resources", str(report_path),
-            "--budget", str(budget),
-        ])
-        assert status == 1
-        err = capsys.readouterr().err
-        assert "resource budget EXCEEDED" in err
-        assert "max_rss_peak_kib" in err
-
-    def test_unreadable_budget_exits_two(self, profiled_run, capsys):
-        report_path, _ = profiled_run
-        status = main([
-            "stats", "resources", str(report_path),
-            "--budget", "no-such-budget.json",
-        ])
-        assert status == 2
-        assert "cannot load budget" in capsys.readouterr().err
-
-
-class TestStatsDiffResourceGate:
-    def doctor(self, report_path, tmp_path, name, rss_factor):
-        data = json.loads(report_path.read_text())
-        totals = data["resource_profile"]["totals"]
-        totals["rss_peak_kib"] = totals["rss_peak_kib"] * rss_factor
-        target = tmp_path / name
-        target.write_text(json.dumps(data))
-        return target
-
-    def test_doctored_rss_blowup_fails_the_gate(
+    def test_budget_within_limits_passes(
         self, profiled_run, tmp_path, capsys
     ):
         report_path, _ = profiled_run
-        fat = self.doctor(report_path, tmp_path, "fat.json", 10.0)
+        base = write_baseline(tmp_path / "base", budget={
+            "schema": RESOURCE_BUDGET_SCHEMA,
+            "max_rss_peak_kib": 10 * 1024 * 1024,
+            "max_cpu_s": 3600.0,
+        })
         status = main([
-            "stats", "diff", str(report_path), str(fat),
-            "--max-ratio", "1000", "--gauge-tolerance", "1000",
+            "stats", "check", str(report_path.parent),
+            "--baseline", str(base),
+        ])
+        assert status == 0
+        assert "budget      ok" in capsys.readouterr().out
+
+    def test_budget_breach_exits_one(self, profiled_run, tmp_path, capsys):
+        report_path, _ = profiled_run
+        base = write_baseline(tmp_path / "base", budget={
+            "schema": RESOURCE_BUDGET_SCHEMA,
+            "max_rss_peak_kib": 1.0,
+        })
+        status = main([
+            "stats", "check", str(report_path.parent),
+            "--baseline", str(base),
         ])
         assert status == 1
         captured = capsys.readouterr()
-        assert "resource drift" in captured.out
-        assert "totals.rss_peak_kib" in captured.err
+        assert "budget      failed" in captured.out
+        assert "max_rss_peak_kib" in captured.err
+
+    def test_unreadable_budget_exits_two(self, profiled_run, tmp_path, capsys):
+        report_path, _ = profiled_run
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "thresholds.json").write_text("{not json")
+        status = main([
+            "stats", "check", str(report_path.parent),
+            "--baseline", str(base),
+        ])
+        assert status == 2
+        assert "cannot load thresholds" in capsys.readouterr().err
+
+
+class TestStatsDiffResourceGate:
+    """The report diff of ``stats check``: its resource dimensions."""
+
+    def doctor(self, bundle_copy, name, rss_factor):
+        def edit(data):
+            totals = data["resource_profile"]["totals"]
+            totals["rss_peak_kib"] = totals["rss_peak_kib"] * rss_factor
+
+        return bundle_copy(name, edit)
+
+    def check(self, profiled_run, bundle, tmp_path, **diff):
+        report_path, _ = profiled_run
+        base = write_baseline(
+            tmp_path / "base", report_path,
+            diff={"max_ratio": 1000, "gauge_rel_tol": 1000, **diff},
+        )
+        return main(["stats", "check", str(bundle), "--baseline", str(base)])
+
+    def test_doctored_rss_blowup_fails_the_gate(
+        self, profiled_run, bundle_copy, tmp_path, capsys
+    ):
+        fat = self.doctor(bundle_copy, "fat", 10.0)
+        assert self.check(profiled_run, fat, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert "diff        failed" in captured.out
+        assert "resource drift" in captured.err
+        assert "rss_peak_kib" in captured.err
 
     def test_no_fail_flag_downgrades_to_report_only(
-        self, profiled_run, tmp_path
+        self, profiled_run, bundle_copy, tmp_path
     ):
-        report_path, _ = profiled_run
-        fat = self.doctor(report_path, tmp_path, "fat2.json", 10.0)
-        status = main([
-            "stats", "diff", str(report_path), str(fat),
-            "--max-ratio", "1000", "--gauge-tolerance", "1000",
-            "--no-fail-on-resource-drift",
-        ])
+        # fail_on_resource_drift: false in the thresholds' diff section.
+        fat = self.doctor(bundle_copy, "fat", 10.0)
+        status = self.check(
+            profiled_run, fat, tmp_path, fail_on_resource_drift=False
+        )
         assert status == 0
 
-    def test_wider_ratio_tolerates_growth(self, profiled_run, tmp_path):
-        report_path, _ = profiled_run
-        fat = self.doctor(report_path, tmp_path, "fat3.json", 10.0)
-        status = main([
-            "stats", "diff", str(report_path), str(fat),
-            "--max-ratio", "1000", "--gauge-tolerance", "1000",
-            "--max-rss-ratio", "20",
-        ])
+    def test_wider_ratio_tolerates_growth(
+        self, profiled_run, bundle_copy, tmp_path
+    ):
+        fat = self.doctor(bundle_copy, "fat", 10.0)
+        status = self.check(profiled_run, fat, tmp_path, max_rss_ratio=20)
         assert status == 0
 
     def test_identical_profiles_are_ok(self, profiled_run, capsys):
         report_path, _ = profiled_run
-        status = main([
-            "stats", "diff", str(report_path), str(report_path),
-        ])
+        bundle = str(report_path.parent)
+        status = main(["stats", "check", bundle, "--baseline", bundle])
         assert status == 0
         out = capsys.readouterr().out
-        assert "verdict: ok" in out
-        assert "resource drift (" not in out
-
-    def strip_profile(self, report_path, tmp_path, name):
-        data = json.loads(report_path.read_text())
-        data.pop("resource_profile", None)
-        target = tmp_path / name
-        target.write_text(json.dumps(data))
-        return target
+        assert "diff        ok       verdict: ok" in out
 
     def test_one_sided_profile_exits_two_naming_the_bare_report(
-        self, profiled_run, tmp_path, capsys
+        self, profiled_run, bundle_copy, capsys
     ):
         # Diffing a profiled report against one missing the resource
-        # section would silently skip the resource gate; the CLI must
+        # section would silently skip the resource gate; the check must
         # refuse with one actionable line instead.
         report_path, _ = profiled_run
-        bare = self.strip_profile(report_path, tmp_path, "bare.json")
-        for old, new in (
-            (str(report_path), str(bare)),
-            (str(bare), str(report_path)),
-        ):
-            status = main(["stats", "diff", old, new])
+        bare = bundle_copy("bare", lambda d: d.pop("resource_profile"))
+        for new, base in ((bare, report_path.parent),
+                          (report_path.parent, bare)):
+            status = main([
+                "stats", "check", str(new), "--baseline", str(base),
+                "--format", "json",
+            ])
             assert status == 2
-            err = capsys.readouterr().err
-            assert str(bare) in err
-            assert "regenerate it with --profile-resources" in err
+            gates = {
+                g["gate"]: g for g in json.loads(capsys.readouterr().out)[
+                    "gates"
+                ]
+            }
+            assert gates["diff"]["status"] == "error"
+            assert str(bare / "report.json") in gates["diff"]["summary"]
+            assert "regenerate it with --obs-dir" in gates["diff"]["summary"]
 
     def test_two_unprofiled_reports_still_diff_cleanly(
-        self, profiled_run, tmp_path, capsys
+        self, bundle_copy, capsys
     ):
-        report_path, _ = profiled_run
-        bare = self.strip_profile(report_path, tmp_path, "bare2.json")
-        status = main(["stats", "diff", str(bare), str(bare)])
-        assert status == 0
-        assert "verdict: ok" in capsys.readouterr().out
+        # The diff itself judges two unprofiled reports; the check still
+        # exits 2 because the resource gate cannot judge either bundle.
+        bare = bundle_copy("bare", lambda d: d.pop("resource_profile"))
+        status = main([
+            "stats", "check", str(bare), "--baseline", str(bare),
+            "--format", "json",
+        ])
+        assert status == 2
+        gates = {
+            g["gate"]: g for g in json.loads(capsys.readouterr().out)["gates"]
+        }
+        assert gates["diff"]["status"] == "ok"
+        assert gates["diff"]["document"]["verdict"] == "ok"
+        assert gates["resources"]["status"] == "error"
 
 
 class TestCommittedBudgetFile:
-    """The committed CI budget document, including the nested chunked-
-    path entry ``make smoke-stream`` extracts, must stay valid budgets
-    — a malformed edit would silently disarm a CI gate."""
+    """The committed baselines' thresholds, loaded the way ``stats
+    check`` loads them — a malformed edit would silently disarm a CI
+    gate."""
 
     BUDGET_KEYS = {
         "max_rss_peak_kib", "max_rss_mean_kib", "max_cpu_s",
         "max_cpu_util", "max_heap_peak_kib",
     }
 
-    @pytest.fixture(scope="class")
-    def document(self):
-        import pathlib
+    BASELINES = pathlib.Path(__file__).resolve().parents[2] / (
+        "benchmarks/baselines"
+    )
 
-        path = (
-            pathlib.Path(__file__).resolve().parents[2]
-            / "benchmarks" / "baselines" / "resource-budget.json"
-        )
-        return json.loads(path.read_text())
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        return load_thresholds(self.BASELINES / "smoke")
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return load_thresholds(self.BASELINES / "stream")
 
     def _assert_valid(self, budget):
         assert budget["schema"] == RESOURCE_BUDGET_SCHEMA
@@ -309,18 +286,33 @@ class TestCommittedBudgetFile:
         assert set(limits) <= self.BUDGET_KEYS
         assert all(value > 0 for value in limits.values())
 
-    def test_smoke_budget_is_valid(self, document):
-        self._assert_valid(document)
+    def test_smoke_budget_is_valid(self, smoke):
+        self._assert_valid(smoke["budget"])
 
-    def test_stream_budget_is_valid(self, document):
-        # The nested entry the smoke-stream gate extracts: it must be a
-        # self-contained budget document in its own right.
-        self._assert_valid(document["stream"])
+    def test_stream_budget_is_valid(self, stream):
+        # The chunked-path baseline make smoke-stream checks against:
+        # a budget and nothing else (it has no report to diff).
+        self._assert_valid(stream["budget"])
+        assert not (self.BASELINES / "stream" / "report.json").exists()
 
-    def test_stream_budget_caps_rss(self, document):
+    def test_stream_budget_caps_rss(self, smoke, stream):
         # The O(chunk) contract (docs/DATA_MODEL.md): the chunked path
         # never needs more memory than the serial smoke run's ceiling.
-        stream = document["stream"]
         assert (
-            stream["max_rss_peak_kib"] <= document["max_rss_peak_kib"]
+            stream["budget"]["max_rss_peak_kib"]
+            <= smoke["budget"]["max_rss_peak_kib"]
         )
+
+    def test_unknown_key_exits_two(self, profiled_run, tmp_path, capsys):
+        report_path, _ = profiled_run
+        base = tmp_path / "base"
+        base.mkdir()
+        (base / "thresholds.json").write_text('{"budgets": {}}')
+        with pytest.raises(ValueError, match="unknown key 'budgets'"):
+            load_thresholds(base)
+        status = main([
+            "stats", "check", str(report_path.parent),
+            "--baseline", str(base),
+        ])
+        assert status == 2
+        assert "unknown key 'budgets'" in capsys.readouterr().err

@@ -1,10 +1,10 @@
 """The data-quality gate: funnel/quantile drift in diffs and the CLI.
 
-Covers the PR 5 acceptance path end to end: an instrumented ``table1``
-run produces a conserving ``repro.data-quality/v1`` section, ``stats
+Covers the acceptance path end to end: an instrumented ``table1`` run
+produces a conserving ``repro.data-quality/v1`` section, ``stats
 funnel`` renders it (and exits 1 on a conservation violation), and
-``stats diff`` exits 1 when a funnel stage's retention rate is
-perturbed beyond tolerance.
+``stats check`` exits 1 when a funnel stage's retention rate drifts
+from the baseline's beyond tolerance.
 """
 
 import json
@@ -143,14 +143,8 @@ class TestQuantileDrift:
 
 class TestInstrumentedRunEndToEnd:
     @pytest.fixture(scope="class")
-    def report_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("dq") / "run.json"
-        # A seed no other test uses: a scenario-cache hit would skip
-        # the crawl/pipeline stages and leave the funnel empty.
-        status = main(["--metrics-out", str(path), "--seed", "937",
-                       "table1"])
-        assert status == 0
-        return path
+    def report_path(self, run_bundle):
+        return run_bundle / "report.json"
 
     def test_table1_report_carries_conserving_funnel(self, report_path):
         report = RunReport.load(report_path)
@@ -210,47 +204,59 @@ class TestInstrumentedRunEndToEnd:
         assert main(["stats", "funnel", str(broken)]) == 1
         assert "VIOLATED" in capsys.readouterr().err
 
+    # The data gate of stats check's report diff (against the baseline).
+
     def test_stats_diff_fails_on_perturbed_retention(
-        self, report_path, tmp_path, capsys
+        self, run_bundle, bundle_copy, capsys
     ):
-        data = json.loads(report_path.read_text())
-        for stage in data["data_quality"]["funnel"]:
-            if stage["stage"] == "pipeline.filter_geo_error":
-                shift = stage["records_out"] // 2
-                stage["records_out"] -= shift
-                stage["drops"]["geo_error"] += shift
-                stage["retention"] = (
-                    stage["records_out"] / stage["records_in"]
-                )
-        perturbed = tmp_path / "perturbed.json"
-        perturbed.write_text(json.dumps(data))
-        status = main(["stats", "diff", str(report_path), str(perturbed)])
+        def perturb(data):
+            for stage in data["data_quality"]["funnel"]:
+                if stage["stage"] == "pipeline.filter_geo_error":
+                    shift = stage["records_out"] // 2
+                    stage["records_out"] -= shift
+                    stage["drops"]["geo_error"] += shift
+                    stage["retention"] = (
+                        stage["records_out"] / stage["records_in"]
+                    )
+
+        perturbed = bundle_copy("perturbed", perturb)
+        status = main([
+            "stats", "check", str(perturbed), "--baseline", str(run_bundle)
+        ])
         captured = capsys.readouterr()
         assert status == 1
-        assert "data drift" in captured.err
-        assert "pipeline.filter_geo_error" in captured.out
+        assert "funnel      ok" in captured.out  # still conserving
+        assert "diff        failed" in captured.out
+        assert "funnel retention drift" in captured.err
+        assert "pipeline.filter_geo_error" in captured.err
 
     def test_stats_diff_data_gate_can_be_waived(
-        self, report_path, tmp_path, capsys
+        self, run_bundle, bundle_copy, capsys
     ):
-        data = json.loads(report_path.read_text())
-        stage = data["data_quality"]["funnel"][0]
-        shift = stage["records_out"] // 2
-        stage["records_out"] -= shift
-        reason = next(iter(stage["drops"]))
-        stage["drops"][reason] += shift
-        stage["retention"] = stage["records_out"] / stage["records_in"]
-        perturbed = tmp_path / "perturbed.json"
-        perturbed.write_text(json.dumps(data))
-        assert main(["stats", "diff", str(report_path), str(perturbed),
-                     "--no-fail-on-data-drift"]) == 0
+        def perturb(data):
+            stage = data["data_quality"]["funnel"][0]
+            shift = stage["records_out"] // 2
+            stage["records_out"] -= shift
+            reason = next(iter(stage["drops"]))
+            stage["drops"][reason] += shift
+            stage["retention"] = stage["records_out"] / stage["records_in"]
+
+        perturbed = bundle_copy("perturbed", perturb)
+        base = bundle_copy("base")
+        (base / "thresholds.json").write_text(
+            '{"diff": {"fail_on_data_drift": false}}'
+        )
+        assert main([
+            "stats", "check", str(perturbed), "--baseline", str(base)
+        ]) == 0
         capsys.readouterr()
 
     def test_stats_diff_identical_reports_pass_data_gate(
-        self, report_path, capsys
+        self, run_bundle, capsys
     ):
-        assert main(["stats", "diff", str(report_path),
-                     str(report_path)]) == 0
+        assert main([
+            "stats", "check", str(run_bundle), "--baseline", str(run_bundle)
+        ]) == 0
         capsys.readouterr()
 
 
@@ -260,11 +266,10 @@ class TestMemoryFlagWarning:
         assert status == 0
         err = capsys.readouterr().err
         assert "--memory does nothing without a telemetry sink" in err
-        assert "--metrics-out" in err
-        assert "--trace-out" in err
+        assert "--obs-dir" in err
 
     def test_no_warning_with_a_sink(self, tmp_path, capsys):
-        status = main(["--metrics-out", str(tmp_path / "r.json"),
+        status = main(["--obs-dir", str(tmp_path),
                        "--memory", "--seed", "91", "table1"])
         assert status == 0
         err = capsys.readouterr().err

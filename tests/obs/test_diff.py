@@ -1,6 +1,7 @@
 """Report diffing: noise-aware deltas, drift, the regression verdict."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,57 +164,68 @@ class TestSerialisation:
 
 
 class TestCliStatsDiff:
-    """The acceptance path: `stats diff` exits 1 and names the span."""
+    """The acceptance path: ``stats check``'s report diff exits 1 and
+    names the span."""
 
-    def _write_pair(self, tmp_path, new_total):
-        old = _report(spans=[_span("scenario.build", 1.0),
-                             _span("pop.extract", 0.4)])
-        new = _report(spans=[_span("scenario.build", 1.0),
-                             _span("pop.extract", new_total)])
-        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
-        old.write(old_path)
-        new.write(new_path)
-        return str(old_path), str(new_path)
+    def _write_pair(self, bundle_copy, new_total):
+        """A baseline and a candidate bundle whose spans differ only in
+        ``pop.extract`` (0.4 s, then ``new_total``)."""
+
+        def spans(total):
+            return lambda data: data.update(spans=[
+                _span("scenario.build", 1.0), _span("pop.extract", total),
+            ])
+
+        old = bundle_copy("old", spans(0.4))
+        new = bundle_copy("new", spans(new_total))
+        return str(old), str(new)
+
+    def _check(self, new, old, *flags):
+        return main(["stats", "check", new, "--baseline", old, *flags])
 
     def test_injected_2x_slowdown_fails_and_names_span(
-        self, tmp_path, capsys
+        self, bundle_copy, capsys
     ):
-        old_path, new_path = self._write_pair(tmp_path, 0.8)
-        status = main(["stats", "diff", old_path, new_path])
+        old_path, new_path = self._write_pair(bundle_copy, 0.8)
+        status = self._check(new_path, old_path)
         captured = capsys.readouterr()
         assert status == 1
-        assert "pop.extract" in captured.out
+        assert "diff        failed   verdict: regression" in captured.out
         assert "pop.extract" in captured.err
 
-    def test_identical_reports_pass(self, tmp_path, capsys):
-        old_path, _ = self._write_pair(tmp_path, 0.8)
-        assert main(["stats", "diff", old_path, old_path]) == 0
+    def test_identical_reports_pass(self, bundle_copy, capsys):
+        old_path, _ = self._write_pair(bundle_copy, 0.8)
+        assert self._check(old_path, old_path) == 0
 
-    def test_json_format(self, tmp_path, capsys):
-        old_path, new_path = self._write_pair(tmp_path, 0.8)
-        status = main(["stats", "diff", "--format", "json",
-                       old_path, new_path])
-        data = json.loads(capsys.readouterr().out)
+    def test_json_format(self, bundle_copy, capsys):
+        old_path, new_path = self._write_pair(bundle_copy, 0.8)
+        status = self._check(new_path, old_path, "--format", "json")
+        gates = {
+            g["gate"]: g for g in json.loads(capsys.readouterr().out)["gates"]
+        }
+        data = gates["diff"]["document"]
         assert status == 1
         assert data["verdict"] == "regression"
         assert data["regressions"] == ["pop.extract"]
 
-    def test_relaxed_threshold_passes(self, tmp_path, capsys):
-        old_path, new_path = self._write_pair(tmp_path, 0.8)
-        assert main(["stats", "diff", "--max-ratio", "3.0",
-                     old_path, new_path]) == 0
+    def test_relaxed_threshold_passes(self, bundle_copy, capsys):
+        # max_ratio in the baseline's thresholds.json.
+        old_path, new_path = self._write_pair(bundle_copy, 0.8)
+        (Path(old_path) / "thresholds.json").write_text(
+            '{"diff": {"max_ratio": 3.0}}'
+        )
+        assert self._check(new_path, old_path) == 0
 
-    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
-        old_path, _ = self._write_pair(tmp_path, 0.8)
-        status = main(["stats", "diff", old_path,
-                       str(tmp_path / "absent.json")])
-        assert status == 2
-        assert "cannot load" in capsys.readouterr().err
+    def test_missing_file_is_a_usage_error(self, bundle_copy, capsys):
+        old_path, new_path = self._write_pair(bundle_copy, 0.8)
+        (Path(new_path) / "report.json").unlink()
+        assert self._check(new_path, old_path) == 2
+        assert "cannot load" in capsys.readouterr().out
 
-    def test_non_report_json_is_a_usage_error(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text('{"schema": "other"}')
-        assert main(["stats", "diff", str(bogus), str(bogus)]) == 2
+    def test_non_report_json_is_a_usage_error(self, bundle_copy, capsys):
+        old_path, _ = self._write_pair(bundle_copy, 0.8)
+        (Path(old_path) / "report.json").write_text('{"schema": "other"}')
+        assert self._check(old_path, old_path) == 2
 
 
 def _profiled_report(rss=1000.0, util=0.5, stages=None):

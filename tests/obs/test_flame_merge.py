@@ -2,11 +2,9 @@
 
 ``Telemetry.merge_snapshot`` folds worker flame tables into the host
 profile with counts adding and stage attribution preserved; a real
-``--workers 2 --flame-out`` run must therefore write *one* merged,
+``--workers 2 --obs-dir`` run must therefore report *one* merged,
 validating profile.
 """
-
-import json
 
 import pytest
 
@@ -16,6 +14,7 @@ from repro.obs.prof import (
     stage_samples,
     validate_flame,
 )
+from repro.obs.report import RunReport
 from repro.obs.telemetry import Telemetry
 
 # Fresh seed (see test_cli_events.py for the scenario-cache rationale).
@@ -98,16 +97,14 @@ class TestMergeSnapshot:
 class TestParallelRun:
     @pytest.fixture(scope="class")
     def parallel_flame(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("parallel-flame")
-        flame_path = root / "flame.json"
+        bundle = tmp_path_factory.mktemp("parallel-flame")
         status = main([
             "--workers", "2",
-            "--flame-out", str(flame_path),
-            "--flame-hz", "400",
+            "--obs-dir", str(bundle),
             "--seed", FRESH_SEED, "table1",
         ])
         assert status == 0
-        return json.loads(flame_path.read_text())
+        return RunReport.load(bundle / "report.json").flame_profile
 
     def test_one_merged_profile_validates(self, parallel_flame):
         assert parallel_flame["schema"] == FLAME_SCHEMA

@@ -1,8 +1,9 @@
 """Sampling overhead guard: the flamegraph must stay near-free.
 
-The ISSUE contract is that default-rate (97 Hz) stack sampling adds
-under 5 % wall time to the smoke ``table1`` run.  A 5 % assertion on a
-shared CI runner would flake on scheduler noise alone, so the guard
+The contract is that an ``--obs-dir`` run, with default-rate (97 Hz)
+stack and 10 Hz resource sampling, adds under 5 % wall time to the
+smoke ``table1`` run.  A 5 % assertion on a shared CI runner would
+flake on scheduler noise alone, so the guard
 compares min-of-N timings against a generous ceiling that a busy
 runner still clears but a pathological sampler (tracing hooks, a
 per-sample lock convoy, an over-eager cadence) cannot.
@@ -36,9 +37,8 @@ def test_default_rate_sampling_overhead_is_bounded(tmp_path, capsys):
     warm = ["--seed", FRESH_SEED, "table1"]
     _min_wall(warm)  # warm the in-process scenario cache first
     base = _min_wall(warm)
-    flame_path = tmp_path / "flame.json"
     flamed = _min_wall(
-        ["--flame-out", str(flame_path), "--seed", FRESH_SEED, "table1"]
+        ["--obs-dir", str(tmp_path), "--seed", FRESH_SEED, "table1"]
     )
     capsys.readouterr()
     assert flamed <= base * MAX_RATIO + SLACK_S, (

@@ -154,6 +154,36 @@ class TestCliStatsHistory:
         assert entries[-1]["name"] == "bench4"
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("limit, shown", [(0, []), (2, [3, 4])])
+    def test_limit_picks_the_same_entries_in_both_formats(
+        self, history_path, capsys, fmt, limit, shown
+    ):
+        from repro.cli import main
+
+        assert main(["stats", "history", "--path", str(history_path),
+                     "--limit", str(limit), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            names = [entry["name"] for entry in json.loads(out)]
+        else:
+            names = [
+                line.split()[1] for line in out.splitlines()
+                if line.startswith("benchmark ")
+            ]
+        assert names == [f"bench{index}" for index in shown]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_limit_is_rejected(self, history_path, capsys, fmt):
+        from repro.cli import main
+
+        assert main(["stats", "history", "--path", str(history_path),
+                     "--limit", "-1", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "--limit must be non-negative" in captured.err
+        assert captured.out == ""
+
+
 def test_utc_timestamp_is_isoformat():
     stamp = utc_timestamp()
     assert "T" in stamp and stamp.endswith("+00:00")

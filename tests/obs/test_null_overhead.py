@@ -130,12 +130,11 @@ class TestMemoryFlagIsNullSafe:
         from repro.obs.memory import MEMORY_GAUGE_PREFIX
         from repro.obs.report import RunReport
 
-        path = tmp_path / "run.json"
-        status = main(["--metrics-out", str(path), "--memory",
+        status = main(["--obs-dir", str(tmp_path), "--memory",
                        "--seed", "91", "table1"])
         assert status == 0
         assert not tracemalloc.is_tracing()
-        report = RunReport.load(path)
+        report = RunReport.load(tmp_path / "report.json")
         memory_gauges = [
             name for name in report.gauges
             if name.startswith(MEMORY_GAUGE_PREFIX)
@@ -195,9 +194,9 @@ class TestProgressAndEventsAreNullSafe:
 
 
 class TestResourceSamplingIsNullSafe:
-    """The PR 8 resource layer shares the zero-overhead budget: with
-    no --profile-resources the shared null sampler is the only object
-    in play and experiment output is byte-identical."""
+    """The resource layer shares the zero-overhead budget: without
+    --obs-dir the shared null sampler is the only object in play, and
+    a profiled run's output is byte-identical and leaves no thread."""
 
     def test_null_sampler_is_slotted_and_stateless(self):
         from repro.obs.sampler import sample
@@ -234,26 +233,28 @@ class TestResourceSamplingIsNullSafe:
             "10k blocks"
         )
 
-    def test_profile_flag_alone_output_is_byte_identical(self, capsys):
+    def test_profile_flag_alone_output_is_byte_identical(
+        self, tmp_path, capsys
+    ):
         import threading
 
         status_plain = main(["--seed", "91", "table1"])
         plain = capsys.readouterr().out
         before = threading.active_count()
         status_profiled = main(
-            ["--profile-resources", "--seed", "91", "table1"]
+            ["--obs-dir", str(tmp_path), "--seed", "91", "table1"]
         )
         instrumented = capsys.readouterr().out
         assert status_plain == status_profiled == 0
         assert plain == instrumented
-        assert threading.active_count() == before  # no sampler thread
+        assert threading.active_count() == before  # the sampler stopped
         assert obs.get_telemetry() is obs.NULL
 
 
 class TestStackSamplingIsNullSafe:
-    """The PR 10 stack profiler shares the same budget: with no
-    --flame-out the shared null sampler is the only object in play and
-    no sampler thread ever starts."""
+    """The stack profiler shares the same budget: without --obs-dir
+    the shared null sampler is the only object in play and no sampler
+    thread ever starts."""
 
     def test_null_stack_sampler_is_slotted_and_stateless(self):
         from repro.obs.sampler import sample

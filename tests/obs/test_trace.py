@@ -213,22 +213,21 @@ class TestValidator:
 
 
 class TestCliTraceOut:
+    """The trace.json of an ``--obs-dir`` run bundle."""
+
     def test_trace_out_writes_valid_trace(self, tmp_path, capsys):
-        path = tmp_path / "trace.json"
-        status = main(["--trace-out", str(path), "--seed", "87", "table1"])
+        status = main(["--obs-dir", str(tmp_path), "--seed", "87", "table1"])
         assert status == 0
-        document = json.loads(path.read_text())
+        document = json.loads((tmp_path / "trace.json").read_text())
         assert validate_trace(document) == []
         names = {e["name"] for e in document["traceEvents"]}
         assert "scenario.build" in names
         assert "cli.table1" in names
 
     def test_trace_out_composes_with_metrics_out(self, tmp_path, capsys):
-        trace_path = tmp_path / "t.json"
-        report_path = tmp_path / "r.json"
-        status = main(["--trace-out", str(trace_path),
-                       "--metrics-out", str(report_path),
-                       "--seed", "87", "table1"])
+        trace_path = tmp_path / "trace.json"
+        report_path = tmp_path / "report.json"
+        status = main(["--obs-dir", str(tmp_path), "--seed", "87", "table1"])
         assert status == 0
         assert trace_path.exists() and report_path.exists()
         report = RunReport.load(report_path)

@@ -2,12 +2,14 @@
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
 from repro.cli import build_parser, main
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 class TestParser:
@@ -80,6 +82,53 @@ class TestReadmeFlagTable:
             if line.startswith("| `--")
         ]
         assert len(rows) == len(_readme_flag_table())
+
+
+#: Fence languages whose blocks hold shell command lines.
+SHELL_FENCES = {"sh", "bash", "shell", "console"}
+
+
+def _doc_commands():
+    """``(where, argv)`` for every ``repro-eyeball`` line in the fenced
+    shell blocks of README.md and docs/*.md: ``\\`` continuations
+    joined, a ``$ `` prompt stripped, each line cut at ``#``, ``>`` and
+    ``|``."""
+    for doc in [README, *sorted((ROOT / "docs").glob("*.md"))]:
+        fence, pending = None, ""
+        for number, line in enumerate(doc.read_text().splitlines(), 1):
+            if line.startswith("```"):
+                fence = line[3:].strip() if fence is None else None
+                continue
+            if fence not in SHELL_FENCES:
+                continue
+            line = pending + line.strip()
+            if line.endswith("\\"):
+                pending = line[:-1]
+                continue
+            pending = ""
+            if line.startswith("$ "):
+                line = line[2:]
+            words = shlex.split(re.split(r"[#>|]", line)[0])
+            if words[:1] == ["repro-eyeball"]:
+                yield f"{doc.name}:{number}", words[1:]
+
+
+class TestDocCommands:
+    """Every documented command line parses with the real parser, so a
+    removed or misplaced flag in the docs fails the suite."""
+
+    def test_every_documented_command_parses(self, capsys):
+        commands = list(_doc_commands())
+        assert len(commands) > 20, "the doc scan found no commands"
+        broken = []
+        for where, argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exc:
+                if exc.code:
+                    broken.append(f"{where}: repro-eyeball {' '.join(argv)}")
+        capsys.readouterr()
+        assert not broken, "unparseable doc commands:\n" + "\n".join(broken)
 
 
 class TestCommands:
