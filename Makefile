@@ -68,31 +68,42 @@ smoke:
 	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/run/report.json \
 		--format speedscope > $(SMOKE_DIR)/smoke-flame-speedscope.json
 
-# The CI engine gate, runnable locally: the rendered table1 must be
-# byte-identical with the engine off, cold and warm; the cold run must
-# miss and write every footprint artifact, and the warm re-run must
-# serve them all from the content-addressed cache.
+# The CI engine gate, runnable locally.  Every footprint batch runs
+# through the repro.exec engine, so its schedule may change only the
+# time: small-preset figure2 runs serially, then with two workers on an
+# empty artifact cache (cold) and again on the full one (warm).  The
+# three stdouts must be byte-identical and the three reports must hold
+# the same funnel and footprint_peak_count digest; the cold run must
+# miss and write footprint artifacts, the warm run must serve them all
+# from the content-addressed cache.
 smoke-parallel:
 	@mkdir -p $(SMOKE_DIR)
 	rm -rf .fpcache
-	$(PYTHON) -m repro.cli table1 > $(SMOKE_DIR)/table1-serial.txt
+	$(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/parallel-serial \
+		figure2 > $(SMOKE_DIR)/figure2-serial.txt
 	$(PYTHON) -m repro.cli --workers 2 --cache-dir .fpcache \
 		--obs-dir $(SMOKE_DIR)/parallel-cold \
-		table1 > $(SMOKE_DIR)/table1-cold.txt
+		figure2 > $(SMOKE_DIR)/figure2-cold.txt
 	$(PYTHON) -m repro.cli --workers 2 --cache-dir .fpcache \
 		--obs-dir $(SMOKE_DIR)/parallel-warm \
-		table1 > $(SMOKE_DIR)/table1-warm.txt
-	diff $(SMOKE_DIR)/table1-serial.txt $(SMOKE_DIR)/table1-cold.txt
-	diff $(SMOKE_DIR)/table1-serial.txt $(SMOKE_DIR)/table1-warm.txt
+		figure2 > $(SMOKE_DIR)/figure2-warm.txt
+	diff $(SMOKE_DIR)/figure2-serial.txt $(SMOKE_DIR)/figure2-cold.txt
+	diff $(SMOKE_DIR)/figure2-serial.txt $(SMOKE_DIR)/figure2-warm.txt
 	$(PYTHON) -c "import json; \
-		cold = json.load(open('$(SMOKE_DIR)/parallel-cold/report.json'))['counters']; \
-		warm = json.load(open('$(SMOKE_DIR)/parallel-warm/report.json'))['counters']; \
+		serial, cold, warm = [json.load(open('$(SMOKE_DIR)/parallel-' + run + '/report.json')) \
+			for run in ('serial', 'cold', 'warm')]; \
+		funnels = [r['data_quality']['funnel'] for r in (serial, cold, warm)]; \
+		assert funnels[0] == funnels[1] == funnels[2], funnels; \
+		digests = [r['data_quality']['quality']['footprint_peak_count'] for r in (serial, cold, warm)]; \
+		assert digests[0] == digests[1] == digests[2], digests; \
+		cold, warm = cold['counters'], warm['counters']; \
 		assert cold.get('exec.cache.misses', 0) > 0, cold; \
 		assert cold.get('exec.cache.writes', 0) > 0, cold; \
 		assert warm.get('exec.cache.hits', 0) > 0, warm; \
 		assert warm.get('exec.cache.misses', 0) == 0, warm; \
 		print('engine gate ok:', cold.get('exec.cache.writes'), 'writes,', \
-			warm.get('exec.cache.hits'), 'hits')"
+			warm.get('exec.cache.hits'), 'hits, one funnel of', \
+			len(funnels[0]), 'stages')"
 
 # The CI streaming gate, runnable locally: the chunk-streamed pipeline
 # (--chunk-size) must render a byte-identical table1, the run must

@@ -3,8 +3,8 @@
 The smoke gate of the ``repro.exec`` engine: one per-AS footprint batch
 (every eyeball target AS at the 40 km city bandwidth) runs three ways —
 
-* serial in-process (the bit-identical fallback, also the reference
-  timing recorded by pytest-benchmark),
+* serial in-process (the default schedule, also the reference timing
+  recorded by pytest-benchmark),
 * fanned over two worker processes,
 * serially again against a warm content-addressed artifact cache —
 
@@ -20,7 +20,7 @@ from repro.exec import FootprintEngine, ParallelConfig
 from repro.obs import telemetry as obs
 from repro.pipeline.footprints import build_footprint_jobs
 
-#: The paper's city-scale kernel bandwidth (same as the table1 warm stage).
+#: The paper's city-scale kernel bandwidth (Section 5's DIMES comparison).
 BANDWIDTH_KM = 40.0
 
 #: Worker count of the parallel leg.
@@ -32,7 +32,7 @@ def test_bench_parallel(benchmark, default_scenario, archive, tmp_path):
     asns = scenario.eyeball_target_asns()
     jobs = build_footprint_jobs(scenario.dataset, asns, BANDWIDTH_KM)
 
-    serial_engine = FootprintEngine(scenario.gazetteer, ParallelConfig.serial())
+    serial_engine = FootprintEngine(scenario.gazetteer, ParallelConfig())
     serial_start = time.perf_counter()
     serial = benchmark.pedantic(
         serial_engine.run, args=(jobs,), rounds=1, iterations=1
@@ -52,7 +52,7 @@ def test_bench_parallel(benchmark, default_scenario, archive, tmp_path):
 
     cache_dir = tmp_path / "fpcache"
     cold_engine = FootprintEngine(
-        scenario.gazetteer, ParallelConfig.serial(cache_dir=str(cache_dir))
+        scenario.gazetteer, ParallelConfig(cache_dir=str(cache_dir))
     )
     cold_start = time.perf_counter()
     cold_engine.run(jobs)
@@ -61,7 +61,7 @@ def test_bench_parallel(benchmark, default_scenario, archive, tmp_path):
     telemetry = obs.get_telemetry()
     hits_before = telemetry.counters.get("exec.cache.hits", 0)
     warm_engine = FootprintEngine(
-        scenario.gazetteer, ParallelConfig.serial(cache_dir=str(cache_dir))
+        scenario.gazetteer, ParallelConfig(cache_dir=str(cache_dir))
     )
     warm_start = time.perf_counter()
     warm = warm_engine.run(jobs)

@@ -2,7 +2,7 @@
 
 ::
 
-    repro-eyeball table1   [--preset small|default] [--workers N] [--cache-dir DIR]
+    repro-eyeball table1   [--preset small|default]
     repro-eyeball figure1  [--scale 0.01]
     repro-eyeball figure2  [--preset small|default] [--reference-ases 45]
     repro-eyeball section5 [--preset small|default]
@@ -49,10 +49,13 @@ Global observability flags (see ``docs/OBSERVABILITY.md``):
 
 Execution-engine flags (see ``docs/PERFORMANCE.md``):
 
+Every per-AS footprint batch (figure2, section5, stats) runs through
+the ``repro.exec`` engine; these flags change only its schedule, never
+the output, the funnel or the digests.
+
 ``--workers N``
-    Fan per-AS footprint batches over N worker processes via the
-    ``repro.exec`` engine.  ``1`` (the default) is the serial
-    in-process path; results are identical for every N.
+    Fan per-AS footprint batches over N worker processes.  ``1`` (the
+    default) runs them in-process.
 ``--cache-dir PATH``
     Content-addressed artifact cache for footprint results.  A re-run
     with unchanged inputs serves footprints from disk (watch the
@@ -125,8 +128,6 @@ def _scenario_config(args) -> ScenarioConfig:
     )
     chunk_size = getattr(args, "chunk_size", None)
     if chunk_size is not None:
-        if chunk_size < 1:
-            raise SystemExit("--chunk-size must be a positive peer count")
         config = dataclasses.replace(
             config,
             pipeline=dataclasses.replace(
@@ -140,15 +141,9 @@ def _scenario(args):
     return cached_scenario(_scenario_config(args))
 
 
-def _parallel_config(args) -> Optional[ParallelConfig]:
-    """The engine config implied by --workers/--cache-dir, if any.
-
-    ``None`` (no flag given) keeps every experiment on its historical
-    inline code path; any flag routes footprint batches through the
-    ``repro.exec`` engine (still bit-identical output).
-    """
-    if args.workers == 1 and args.cache_dir is None:
-        return None
+def _parallel_config(args) -> ParallelConfig:
+    """The engine schedule set by --workers/--cache-dir: serial and
+    uncached without them; workers sample themselves when observed."""
     observed = _observed(args)
     return ParallelConfig(
         workers=args.workers,
@@ -188,25 +183,13 @@ def _emit(args, text: str, checks=None) -> int:
     return 0
 
 
-#: Bandwidth of the table1 footprint warm stage (the paper's city scale).
+#: Bandwidth of the footprint stage ``stats`` profiles (the paper's
+#: city scale).
 WARM_BANDWIDTH_KM = 40.0
 
 
 def cmd_table1(args) -> int:
-    scenario = _scenario(args)
-    parallel = _parallel_config(args)
-    if parallel is not None:
-        # Table 1 itself is footprint-free; with engine flags set we
-        # additionally warm the per-AS footprint artifacts through the
-        # exec engine so --workers scales the heavy stage and a second
-        # run against the same --cache-dir hits instead of recomputing.
-        # The rendered table is untouched either way.
-        scenario.pop_footprints(
-            scenario.eyeball_target_asns(),
-            WARM_BANDWIDTH_KM,
-            parallel=parallel,
-        )
-    result = run_table1(scenario)
+    result = run_table1(_scenario(args))
     return _emit(args, result.render(), result.shape_checks())
 
 
@@ -862,6 +845,19 @@ def cmd_stats_history(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-eyeball",
@@ -907,8 +903,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=f"worker processes for per-AS footprint batches, 1-"
-             f"{MAX_WORKERS} (default: 1 = serial; output is identical "
-             "for every N)",
+             f"{MAX_WORKERS} (default: 1 = in-process; output is "
+             "identical for every N)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -919,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="stream the conditioning pipeline in N-peer chunks "
@@ -949,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--reference-ases",
-        type=int,
+        type=_positive_int,
         default=None,
         help="reference-dataset size for figure2/section5 "
              "(default: 45 on the default preset, 18 on small)",

@@ -5,8 +5,7 @@ mapping) is independent per AS; this side-car layer schedules it:
 
 ``repro.exec.config``
     :class:`~repro.exec.config.ParallelConfig` — worker count, chunk
-    size, cache location; ``workers=1`` is the bit-identical serial
-    fallback.
+    size, cache location; the default is serial and uncached.
 ``repro.exec.jobs``
     :class:`~repro.exec.jobs.FootprintJob` /
     :class:`~repro.exec.jobs.FootprintArtifact` and the pure
@@ -29,7 +28,7 @@ semantics.
 
 from .cache import CODE_SALT, ArtifactCache, gazetteer_fingerprint, job_key
 from .config import MAX_WORKERS, ParallelConfig
-from .engine import FootprintEngine, run_footprint_jobs
+from .engine import FootprintEngine
 from .jobs import (
     DEFAULT_CONTOUR_LEVEL,
     FootprintArtifact,
@@ -49,5 +48,4 @@ __all__ = [
     "execute_job",
     "gazetteer_fingerprint",
     "job_key",
-    "run_footprint_jobs",
 ]

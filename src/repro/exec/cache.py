@@ -15,11 +15,13 @@ digest of everything its result depends on:
 * the KDE method string,
 * a fingerprint of the gazetteer (peak→city mapping input),
 * the code-version salt :data:`CODE_SALT` (bumped whenever the
-  footprint algorithm changes) and an optional caller salt.
+  footprint algorithm or the artifact layout changes).
 
 Identical inputs hit; any changed input — a single moved peer, a new
 bandwidth, a different alpha, a new code version — misses and
-recomputes.  Entries are pickled artifacts written atomically
+recomputes.  The ASN is not an input: two ASes with the same peers
+share an entry, and the engine relabels a served artifact with the
+requesting job's ASN.  Entries are pickled artifacts written atomically
 (temp file + rename); a corrupt or unreadable entry is *evicted* and
 recomputed, never fatal.  Hit/miss/write/evict counts flow into
 ``repro.obs`` under ``exec.cache.*``.
@@ -45,7 +47,7 @@ from .jobs import FootprintArtifact, FootprintJob
 #: footprint algorithm (KDE, contouring, peak detection, PoP mapping)
 #: or to the artifact layout — stale entries then miss instead of
 #: serving results computed by old code.
-CODE_SALT = "repro-footprint/v1"
+CODE_SALT = "repro-footprint/v2"
 
 #: On-disk entry suffix.
 ENTRY_SUFFIX = ".pkl"
@@ -90,21 +92,14 @@ def gazetteer_fingerprint(gazetteer: Gazetteer) -> str:
     return digest.hexdigest()
 
 
-def job_key(
-    job: FootprintJob,
-    gazetteer_digest: str,
-    salt: str = "",
-) -> str:
+def job_key(job: FootprintJob, gazetteer_digest: str) -> str:
     """The content address of one job (hex SHA-256).
 
     ``gazetteer_digest`` is :func:`gazetteer_fingerprint` of the
-    gazetteer the job will map peaks against; ``salt`` is the caller's
-    extra invalidation handle (:attr:`ParallelConfig.cache_salt`).
+    gazetteer the job will map peaks against.
     """
     digest = hashlib.sha256()
     digest.update(CODE_SALT.encode())
-    digest.update(b"\x1f")
-    digest.update(salt.encode())
     digest.update(b"\x1f")
     digest.update(gazetteer_digest.encode())
     digest.update(b"\x1f")

@@ -1,11 +1,12 @@
 """Execution configuration for the per-AS footprint engine.
 
 One frozen :class:`ParallelConfig` describes *how* a batch of footprint
-jobs runs: how many worker processes fan the jobs out (``workers=1`` is
-the serial in-process fallback, bit-identical to calling the Section
-3-4 functions directly), how jobs are chunked for dispatch, and where
-the content-addressed artifact cache lives (``cache_dir=None`` disables
-caching).  The config carries no open resources, so it pickles cleanly
+jobs runs: how many worker processes fan the jobs out (``workers=1``,
+the default, runs them in-process), how jobs are chunked for dispatch,
+and where the content-addressed artifact cache lives (``cache_dir=None``,
+the default, disables caching).  Every footprint batch runs through the
+engine under some config, and the config changes only the schedule,
+never the result.  It carries no open resources, so it pickles cleanly
 and can be embedded in experiment presets.
 """
 
@@ -33,8 +34,7 @@ class ParallelConfig:
 
     ``workers``
         Worker-process count.  ``1`` (the default) selects the serial
-        in-process path — no pool, no pickling, bit-identical to the
-        unparallelised pipeline.
+        in-process path — no pool, no pickling.
     ``chunk_size``
         Jobs per dispatched chunk, or ``None`` to derive it from the
         job count (about :data:`AUTO_CHUNKS_PER_WORKER` chunks per
@@ -42,11 +42,9 @@ class ParallelConfig:
         worker scheduling.
     ``cache_dir``
         Directory of the content-addressed artifact cache, or ``None``
-        to recompute everything.
-    ``cache_salt``
-        Extra string folded into every cache key; bump it to invalidate
-        a cache tree without deleting it (the code-version salt
-        :data:`repro.exec.cache.CODE_SALT` is always included on top).
+        to recompute everything.  Delete the directory to invalidate
+        it; algorithm changes invalidate it through
+        :data:`repro.exec.cache.CODE_SALT`.
     ``profile_hz``
         Sampling rate of the per-worker resource profiler
         (:mod:`repro.obs.resources`), or ``None`` (the default) for no
@@ -66,7 +64,6 @@ class ParallelConfig:
     workers: int = 1
     chunk_size: Optional[int] = None
     cache_dir: Optional[str] = None
-    cache_salt: str = ""
     profile_hz: Optional[float] = None
     flame_hz: Optional[float] = None
 
@@ -84,12 +81,8 @@ class ParallelConfig:
 
     @property
     def is_serial(self) -> bool:
-        """Whether this config selects the in-process fallback path."""
+        """Whether this config selects the in-process path."""
         return self.workers == 1
-
-    @property
-    def caching(self) -> bool:
-        return self.cache_dir is not None
 
     def resolved_chunk_size(self, job_count: int) -> int:
         """The chunk size used for ``job_count`` jobs (always >= 1)."""
@@ -113,8 +106,3 @@ class ParallelConfig:
             tuple(items[start:start + size])
             for start in range(0, len(items), size)
         ]
-
-    @classmethod
-    def serial(cls, cache_dir: Optional[str] = None) -> "ParallelConfig":
-        """The explicit serial fallback (optionally still cached)."""
-        return cls(workers=1, cache_dir=cache_dir)

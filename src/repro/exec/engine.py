@@ -9,13 +9,17 @@ exploits that without giving up determinism:
 * chunks run on a ``concurrent.futures.ProcessPoolExecutor`` whose
   results are **merged in submission order**, so the output list/dict
   order is identical to the serial path's,
-* ``workers=1`` short-circuits to an **in-process serial fallback**
-  that calls :func:`repro.exec.jobs.execute_job` inline — bit-identical
-  to the unparallelised pipeline by construction,
+* ``workers=1`` (the default) runs the same chunk walk in-process,
+  calling :func:`repro.exec.jobs.execute_job` inline,
 * each worker captures telemetry into its own registry and ships the
   snapshot home; the parent folds every snapshot into the live registry
   (:meth:`repro.obs.telemetry.Telemetry.merge_snapshot`), so a parallel
-  run's report carries the same spans and counters as a serial run's.
+  run's report carries the same spans under its map span and the same
+  counters outside ``exec.*`` as a serial run's,
+* the parent records the ``exec.peak_selection`` funnel stage and the
+  ``footprint_peak_count`` digest once per returned artifact, whether
+  computed or served from the cache, so the data-quality record does
+  not depend on the schedule either.
 
 With a :class:`~repro.exec.cache.ArtifactCache` configured, the parent
 probes the cache before dispatching anything: across re-runs where only
@@ -31,8 +35,10 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..geo.gazetteer import Gazetteer
+from ..obs import lineage, quality
 from ..obs import progress as obs_progress
 from ..obs import telemetry as obs
+from ..obs.lineage import DropReason
 from ..obs.progress import StallWatchdog
 from ..obs.sampler import sample
 from .cache import ArtifactCache, gazetteer_fingerprint, job_key
@@ -109,11 +115,11 @@ class FootprintEngine:
     def __init__(
         self,
         gazetteer: Gazetteer,
-        config: Optional[ParallelConfig] = None,
+        config: ParallelConfig = ParallelConfig(),
         watchdog: Optional[StallWatchdog] = None,
     ) -> None:
         self.gazetteer = gazetteer
-        self.config = config if config is not None else ParallelConfig()
+        self.config = config
         #: The stall watchdog judging chunk latencies.  Injectable so
         #: tests can script its clock; a fresh default otherwise.  One
         #: watchdog per engine: its rolling median spans every batch
@@ -126,10 +132,6 @@ class FootprintEngine:
         )
         self._gazetteer_digest: Optional[str] = None
 
-    @property
-    def cache(self) -> Optional[ArtifactCache]:
-        return self._cache
-
     def gazetteer_digest(self) -> str:
         """Fingerprint of this engine's gazetteer (memoised)."""
         if self._gazetteer_digest is None:
@@ -139,10 +141,11 @@ class FootprintEngine:
     def run(self, jobs: Iterable[FootprintJob]) -> List[FootprintArtifact]:
         """Execute ``jobs``; results are returned in job order.
 
-        Cached jobs are served without dispatch; the rest run serially
-        or on the pool per the config.  The returned list is positional:
-        ``result[i]`` belongs to ``jobs[i]`` regardless of which worker
-        computed it or whether it came from the cache.
+        Cached jobs are served without dispatch, relabelled with the
+        job's ASN; the rest run serially or on the pool per the config.
+        The returned list is positional: ``result[i]`` belongs to
+        ``jobs[i]`` regardless of which worker computed it or whether
+        it came from the cache.
         """
         job_list = list(jobs)
         with obs.span("exec.run"):
@@ -154,15 +157,13 @@ class FootprintEngine:
                 with obs.span("exec.cache_lookup"):
                     digest = self.gazetteer_digest()
                     for index, job in enumerate(job_list):
-                        key = job_key(
-                            job, digest, salt=self.config.cache_salt
-                        )
+                        key = job_key(job, digest)
                         keys[index] = key
                         cached = self._cache.get(key)
                         if cached is None:
                             pending.append((index, job))
                         else:
-                            artifacts[index] = cached
+                            artifacts[index] = cached.relabelled(job.asn)
             else:
                 pending = list(enumerate(job_list))
 
@@ -174,18 +175,17 @@ class FootprintEngine:
                         key = keys[index]
                         assert key is not None
                         self._cache.put(key, artifact)
-            assert all(a is not None for a in artifacts)
-            return [a for a in artifacts if a is not None]
+            results = [a for a in artifacts if a is not None]
+            assert len(results) == len(job_list)
+            for artifact in results:
+                _record_peak_selection(artifact)
+            return results
 
     def run_by_asn(
         self, jobs: Iterable[FootprintJob]
     ) -> Dict[int, FootprintArtifact]:
         """Like :meth:`run`, keyed by ASN in job order."""
-        job_list = list(jobs)
-        return {
-            artifact.asn: artifact
-            for artifact in self.run(job_list)
-        }
+        return {artifact.asn: artifact for artifact in self.run(jobs)}
 
     # -- execution strategies -----------------------------------------
 
@@ -199,7 +199,7 @@ class FootprintEngine:
     def _execute_serial(
         self, jobs: Sequence[FootprintJob]
     ) -> List[FootprintArtifact]:
-        """The bit-identical fallback: inline calls, in order.
+        """The in-process path: inline calls, in order.
 
         The serial path runs the same chunk walk as the parallel one —
         identical job order, so identical output — which gives serial
@@ -266,10 +266,15 @@ class FootprintEngine:
         return results
 
 
-def run_footprint_jobs(
-    jobs: Iterable[FootprintJob],
-    gazetteer: Gazetteer,
-    config: Optional[ParallelConfig] = None,
-) -> Dict[int, FootprintArtifact]:
-    """One-shot convenience: build an engine, run, key results by ASN."""
-    return FootprintEngine(gazetteer, config).run_by_asn(jobs)
+def _record_peak_selection(artifact: FootprintArtifact) -> None:
+    """The alpha cut of one returned artifact, as a funnel stage and a
+    ``footprint_peak_count`` digest value."""
+    selected = len(artifact.peak_latlons)
+    lineage.record_stage(
+        "exec.peak_selection",
+        unit="peaks",
+        records_in=artifact.peaks_found,
+        records_out=selected,
+        drops={DropReason.BELOW_ALPHA: artifact.peaks_found - selected},
+    )
+    quality.observe("footprint_peak_count", (float(selected),))

@@ -12,7 +12,7 @@ everything the experiment drivers consume, without the dense KDE grid
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,8 +20,6 @@ import numpy as np
 from ..core.footprint import estimate_geo_footprint
 from ..core.pop import DEFAULT_ALPHA, PoPFootprint, extract_pop_footprint
 from ..geo.gazetteer import Gazetteer
-from ..obs import lineage, quality
-from ..obs.lineage import DropReason
 
 #: The footprint-contour level :func:`estimate_geo_footprint` defaults
 #: to; spelled out here so job digests never depend on a default
@@ -79,7 +77,9 @@ class FootprintArtifact:
 
     ``pop_footprint`` is the Section 4.2 city-merged view;
     ``peak_latlons`` the raw alpha-selected peak coordinates Section 5's
-    facility-level counting and 40 km matching operate on.
+    facility-level counting and 40 km matching operate on;
+    ``peaks_found`` the number of density peaks before the alpha cut,
+    which the engine's ``exec.peak_selection`` funnel stage reads.
     """
 
     asn: int
@@ -87,11 +87,25 @@ class FootprintArtifact:
     alpha: float
     pop_footprint: PoPFootprint
     peak_latlons: Tuple[Tuple[float, float], ...]
+    peaks_found: int
 
     def peak_locations(self) -> list:
         """The peak coordinates as the ``List[tuple]`` the serial
         :meth:`Scenario.peak_locations` API returns."""
         return [tuple(p) for p in self.peak_latlons]
+
+    def relabelled(self, asn: int) -> "FootprintArtifact":
+        """This artifact as computed for ``asn``.
+
+        The cache key leaves the ASN out (same peers and parameters,
+        same computation), so an entry may have been written by a job
+        for another AS; a served artifact carries the requester's ASN.
+        """
+        if asn == self.asn:
+            return self
+        return replace(
+            self, asn=asn, pop_footprint=replace(self.pop_footprint, asn=asn)
+        )
 
 
 def execute_job(job: FootprintJob, gazetteer: Gazetteer) -> FootprintArtifact:
@@ -100,8 +114,9 @@ def execute_job(job: FootprintJob, gazetteer: Gazetteer) -> FootprintArtifact:
     This function *is* the engine's unit of work: the serial path calls
     it inline, workers call it in their own process, and the cache
     stores its return value.  Keeping it a pure function of (job,
-    gazetteer) is what makes parallel output bit-identical to serial
-    output.
+    gazetteer) is what makes its output the same for every worker
+    count and cache state; the engine's parent records the funnel
+    stage and digest it feeds, once per returned artifact.
     """
     footprint = estimate_geo_footprint(
         job.lats,
@@ -118,18 +133,11 @@ def execute_job(job: FootprintJob, gazetteer: Gazetteer) -> FootprintArtifact:
     peaks = tuple(
         (p.lat, p.lon) for p in footprint.peaks_above(job.alpha)
     )
-    lineage.record_stage(
-        "exec.peak_selection",
-        unit="peaks",
-        records_in=len(footprint.peaks),
-        records_out=len(peaks),
-        drops={DropReason.BELOW_ALPHA: len(footprint.peaks) - len(peaks)},
-    )
-    quality.observe("footprint_peak_count", (float(len(peaks)),))
     return FootprintArtifact(
         asn=job.asn,
         bandwidth_km=job.bandwidth_km,
         alpha=job.alpha,
         pop_footprint=pop_footprint,
         peak_latlons=peaks,
+        peaks_found=len(footprint.peaks),
     )

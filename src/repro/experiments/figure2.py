@@ -17,7 +17,7 @@ Paper shape targets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.bandwidth import FIGURE2_BANDWIDTHS_KM
 from ..exec import ParallelConfig
@@ -141,12 +141,13 @@ def run_figure2(
     bandwidths_km: Tuple[float, ...] = FIGURE2_BANDWIDTHS_KM,
     reference_config: ReferenceConfig = ReferenceConfig(),
     match_radius_km: float = MATCH_RADIUS_KM,
-    parallel: Optional[ParallelConfig] = None,
+    parallel: ParallelConfig = ParallelConfig(),
 ) -> Figure2Result:
     """Reproduce Figure 2 over a scenario.
 
-    ``parallel`` (worker fan-out / artifact cache) applies to the
-    per-bandwidth footprint batches; results are identical either way.
+    ``parallel`` (worker fan-out / artifact cache) schedules the
+    per-bandwidth footprint batches; results are identical for every
+    config.
     """
     reference = reference_for_scenario(scenario, reference_config)
     asns = sorted(reference.pops)

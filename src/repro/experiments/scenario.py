@@ -145,20 +145,13 @@ class Scenario:
         asns: Sequence[int],
         bandwidth_km: float,
         alpha: float = DEFAULT_ALPHA,
-        parallel: Optional[ParallelConfig] = None,
+        parallel: ParallelConfig = ParallelConfig(),
     ) -> Dict[int, PoPFootprint]:
-        """PoP footprints for many ASes at one bandwidth.
-
-        ``parallel`` routes the batch through the ``repro.exec``
-        engine (worker fan-out and/or artifact caching); ``None`` keeps
-        the historical inline loop.  Both paths produce identical
-        footprints in identical order.
+        """PoP footprints for many ASes at one bandwidth, in ``asns``
+        order, computed by the ``repro.exec`` engine under
+        ``parallel`` (serial and uncached by default).  Equal to
+        :meth:`pop_footprint` per AS for every config.
         """
-        if parallel is None:
-            return {
-                asn: self.pop_footprint(asn, bandwidth_km, alpha=alpha)
-                for asn in asns
-            }
         artifacts = run_footprint_stage(
             self.dataset,
             self.gazetteer,
@@ -187,19 +180,12 @@ class Scenario:
         asns: Sequence[int],
         bandwidth_km: float,
         alpha: float = DEFAULT_ALPHA,
-        parallel: Optional[ParallelConfig] = None,
+        parallel: ParallelConfig = ParallelConfig(),
     ) -> Dict[int, List[tuple]]:
-        """Peak-level PoP location sets for many ASes.
-
-        Accepts the same optional ``parallel`` engine config as
-        :meth:`pop_footprints`, with the same identical-output
-        guarantee.
+        """Peak-level PoP location sets for many ASes, through the same
+        engine as :meth:`pop_footprints`.  Equal to
+        :meth:`peak_locations` per AS for every config.
         """
-        if parallel is None:
-            return {
-                asn: self.peak_locations(asn, bandwidth_km, alpha=alpha)
-                for asn in asns
-            }
         artifacts = run_footprint_stage(
             self.dataset,
             self.gazetteer,

@@ -113,11 +113,11 @@ def run_section5(
     reference_config: ReferenceConfig = ReferenceConfig(),
     dimes_config: DimesConfig = DimesConfig(),
     figure2: Optional[Figure2Result] = None,
-    parallel: Optional[ParallelConfig] = None,
+    parallel: ParallelConfig = ParallelConfig(),
 ) -> Section5Result:
     """Run both Section 5 comparisons (reusing a Figure 2 result when
-    the caller already computed one).  ``parallel`` applies the
-    ``repro.exec`` engine config to every footprint batch."""
+    the caller already computed one).  ``parallel`` schedules every
+    footprint batch on the ``repro.exec`` engine."""
     if figure2 is None:
         figure2 = run_figure2(
             scenario,

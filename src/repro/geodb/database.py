@@ -45,7 +45,7 @@ class GeoDatabase:
         return self._missing_count
 
     def add_block(self, prefix: Prefix, record: Optional[GeoRecord]) -> None:
-        if self._table.lookup_exact(prefix) is not None:
+        if prefix in self._table:
             raise ValueError(f"block {prefix} already present in {self.name}")
         self._table.insert(prefix, record)
         self._flat = None

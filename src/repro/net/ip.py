@@ -195,8 +195,8 @@ class PrefixTable(Generic[T]):
                 best = (Prefix(network, depth + 1), node.value)  # type: ignore[arg-type]
         return best
 
-    def lookup_exact(self, prefix: Prefix) -> Optional[T]:
-        """Value stored for exactly this prefix, or ``None``."""
+    def _exact_node(self, prefix: Prefix) -> Optional[_TrieNode[T]]:
+        """The node holding exactly this prefix's entry, if any."""
         node = self._root
         for depth in range(prefix.length):
             bit = (prefix.network >> (31 - depth)) & 1
@@ -204,7 +204,17 @@ class PrefixTable(Generic[T]):
             if child is None:
                 return None
             node = child
-        return node.value if node.has_value else None
+        return node if node.has_value else None
+
+    def __contains__(self, prefix: Prefix) -> bool:
+        """Whether this exact prefix has an entry, whatever its value
+        (``None`` included)."""
+        return self._exact_node(prefix) is not None
+
+    def lookup_exact(self, prefix: Prefix) -> Optional[T]:
+        """Value stored for exactly this prefix, or ``None``."""
+        node = self._exact_node(prefix)
+        return node.value if node is not None else None
 
     def items(self) -> Iterator[Tuple[Prefix, T]]:
         """Iterate all (prefix, value) pairs in network order."""

@@ -49,7 +49,6 @@ from .filtering import (
 )
 from .footprints import (
     build_footprint_jobs,
-    footprint_jobs_from_batch,
     run_footprint_stage,
 )
 from .grouping import ASPeerGroup, GroupingStats, group_by_as, partition_groups
@@ -103,7 +102,6 @@ __all__ = [
     "filter_geo_error",
     "filter_geo_error_batch",
     "filter_min_peers",
-    "footprint_jobs_from_batch",
     "group_by_as",
     "group_slices",
     "map_batch",

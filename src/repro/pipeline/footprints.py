@@ -1,27 +1,27 @@
 """The footprint stage: target dataset → per-AS footprint artifacts.
 
-This is the pipeline-level entry point of the ``repro.exec`` engine.
-It turns conditioned :class:`~repro.pipeline.dataset.TargetAS` groups
-into :class:`~repro.exec.jobs.FootprintJob` descriptions — one per
-requested AS, all at one kernel bandwidth — and hands the batch to a
-:class:`~repro.exec.engine.FootprintEngine` for (optionally parallel,
-optionally cached) execution.
+This is the pipeline-level entry point of the ``repro.exec`` engine,
+and the only driver of per-AS footprint batches.  It turns conditioned
+:class:`~repro.pipeline.dataset.TargetAS` groups into
+:class:`~repro.exec.jobs.FootprintJob` descriptions — one per requested
+AS, all at one kernel bandwidth — and hands the batch to a
+:class:`~repro.exec.engine.FootprintEngine`, serial and uncached unless
+the caller's :class:`~repro.exec.config.ParallelConfig` says otherwise.
 
 Job order follows the caller's ``asns`` order, and the engine merges
 results in job order, so the returned dict's insertion order is
-identical to the serial per-AS loop the experiments used to run.
+identical to a per-AS loop over ``asns``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..core.pop import DEFAULT_ALPHA
 from ..exec import FootprintArtifact, FootprintEngine, FootprintJob, ParallelConfig
 from ..geo.gazetteer import Gazetteer
 from ..obs import telemetry as obs
 from ..obs.progress import tracker
-from .batch import group_slices
 from .dataset import TargetDataset
 
 
@@ -54,38 +54,6 @@ def build_footprint_jobs(
     return jobs
 
 
-def footprint_jobs_from_batch(
-    batch,
-    bandwidth_km: float,
-    alpha: float = DEFAULT_ALPHA,
-    cell_km: Optional[float] = None,
-    min_peers: int = 1,
-) -> List[FootprintJob]:
-    """One :class:`FootprintJob` per AS group of a routed peer batch.
-
-    The columnar-path feed: jobs are built straight from the batch's
-    float32 coordinate columns (``FootprintJob`` widens them to float64
-    on construction, the documented adapter rule), without decoding to
-    :class:`~repro.pipeline.mapping.MappedPeers` first.  Groups smaller
-    than ``min_peers`` are skipped; ASes come out ascending, matching
-    the serial classify order.
-    """
-    data = batch.data
-    with obs.span("pipeline.footprint_jobs"):
-        return [
-            FootprintJob(
-                asn=asn,
-                lats=data["lat"][rows],
-                lons=data["lon"][rows],
-                bandwidth_km=bandwidth_km,
-                alpha=alpha,
-                cell_km=cell_km,
-            )
-            for asn, rows in group_slices(data["asn"].astype("int64"))
-            if rows.size >= min_peers
-        ]
-
-
 def run_footprint_stage(
     dataset: TargetDataset,
     gazetteer: Gazetteer,
@@ -93,13 +61,13 @@ def run_footprint_stage(
     bandwidth_km: float,
     alpha: float = DEFAULT_ALPHA,
     cell_km: Optional[float] = None,
-    parallel: Optional[ParallelConfig] = None,
+    parallel: ParallelConfig = ParallelConfig(),
 ) -> Dict[int, FootprintArtifact]:
     """Compute footprint artifacts for many ASes at one bandwidth.
 
-    ``parallel`` defaults to the serial, uncached
-    :class:`ParallelConfig` — identical results to looping over
-    ``Scenario.pop_footprint`` by hand, one engine invocation per call.
+    ``parallel`` (serial and uncached by default) sets the schedule of
+    the one engine invocation per call; the artifacts are the same
+    for every setting.
     """
     with obs.span("pipeline.footprints"):
         jobs = build_footprint_jobs(

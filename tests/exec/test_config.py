@@ -11,7 +11,6 @@ class TestValidation:
         config = ParallelConfig()
         assert config.workers == 1
         assert config.is_serial
-        assert not config.caching
         assert config.cache_dir is None
 
     def test_rejects_zero_workers(self):
@@ -30,17 +29,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ParallelConfig(workers=2, chunk_size=0)
 
-    def test_serial_classmethod(self):
-        config = ParallelConfig.serial(cache_dir="somewhere")
-        assert config.is_serial
-        assert config.caching
-        assert config.cache_dir == "somewhere"
-
     def test_caching_orthogonal_to_parallelism(self):
         assert ParallelConfig(workers=4).is_serial is False
-        assert ParallelConfig(workers=4).caching is False
+        assert ParallelConfig(workers=4).cache_dir is None
         assert ParallelConfig(cache_dir="x").is_serial is True
-        assert ParallelConfig(cache_dir="x").caching is True
+        assert ParallelConfig(cache_dir="x").cache_dir == "x"
 
 
 class TestChunkSizePolicy:

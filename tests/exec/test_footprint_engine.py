@@ -2,13 +2,14 @@
 
 The acceptance bar for the whole execution layer is here: a parallel
 run must produce artifacts indistinguishable from the serial path on a
-fixed-seed dataset, and a cached re-run must serve every job from disk.
-Parallel tests use 2 workers and a handful of jobs to stay fast.
+fixed-seed dataset, a cached re-run must serve every job from disk,
+and the funnel and digests must not depend on either.  Parallel tests
+use 2 workers and a handful of jobs to stay fast.
 """
 
 import pytest
 
-from repro.exec import FootprintEngine, ParallelConfig, run_footprint_jobs
+from repro.exec import FootprintEngine, FootprintJob, ParallelConfig
 from repro.obs import telemetry as obs
 from repro.pipeline import build_footprint_jobs
 
@@ -44,6 +45,14 @@ class TestSerialPath:
         for job, artifact in zip(jobs, serial_artifacts):
             inline = small_scenario.pop_footprint(job.asn, BANDWIDTH_KM)
             assert artifact.pop_footprint == inline
+
+    def test_peaks_found_counts_every_peak(
+        self, small_scenario, jobs, serial_artifacts
+    ):
+        for job, artifact in zip(jobs, serial_artifacts):
+            footprint = small_scenario.geo_footprint(job.asn, BANDWIDTH_KM)
+            assert artifact.peaks_found == len(footprint.peaks)
+            assert artifact.peaks_found >= len(artifact.peak_latlons)
 
     def test_run_by_asn_preserves_job_order(self, small_scenario, jobs):
         engine = FootprintEngine(small_scenario.gazetteer)
@@ -116,13 +125,31 @@ class TestCaching:
         # Order is positional even when hits and misses interleave.
         assert [a.asn for a in merged] == [j.asn for j in jobs]
 
-    def test_salt_partitions_the_cache(self, small_scenario, jobs, tmp_path):
-        base = ParallelConfig(cache_dir=str(tmp_path))
-        FootprintEngine(small_scenario.gazetteer, base).run(jobs)
-        salted = ParallelConfig(cache_dir=str(tmp_path), cache_salt="ablation")
+    def test_hit_carries_the_requesting_asn(
+        self, small_scenario, jobs, tmp_path
+    ):
+        # The key leaves the ASN out, so two ASes with the same peers
+        # share one entry; each must still get its own ASN back.
+        twins = [
+            FootprintJob(
+                asn=asn,
+                lats=jobs[0].lats,
+                lons=jobs[0].lons,
+                bandwidth_km=BANDWIDTH_KM,
+            )
+            for asn in (64500, 64501)
+        ]
+        config = ParallelConfig(cache_dir=str(tmp_path))
+        cold = FootprintEngine(small_scenario.gazetteer, config).run_by_asn(twins)
         with obs.capture() as telemetry:
-            FootprintEngine(small_scenario.gazetteer, salted).run(jobs)
-        assert telemetry.counters["exec.cache.misses"] == len(jobs)
+            warm = FootprintEngine(
+                small_scenario.gazetteer, config
+            ).run_by_asn(twins)
+        assert telemetry.counters["exec.cache.hits"] == 2
+        assert list(cold) == list(warm) == [64500, 64501]
+        for asn, artifact in warm.items():
+            assert artifact.pop_footprint.asn == asn
+        assert_same_artifacts(list(warm.values()), list(cold.values()))
 
     def test_cache_with_parallel_workers(
         self, small_scenario, jobs, serial_artifacts, tmp_path
@@ -135,11 +162,42 @@ class TestCaching:
         assert telemetry.counters["exec.cache.hits"] == len(jobs)
 
 
-class TestConvenience:
-    def test_run_footprint_jobs(self, small_scenario, jobs, serial_artifacts):
-        by_asn = run_footprint_jobs(jobs, small_scenario.gazetteer)
-        assert list(by_asn) == [j.asn for j in jobs]
-        assert_same_artifacts(list(by_asn.values()), serial_artifacts)
+class TestDataQuality:
+    """The parent records the peak-selection stage and the peak-count
+    digest once per returned artifact, computed or served."""
+
+    @staticmethod
+    def record(gazetteer, config, jobs):
+        with obs.capture() as telemetry:
+            FootprintEngine(gazetteer, config).run(jobs)
+        snapshot = telemetry.snapshot()
+        return snapshot["funnel"], snapshot["quality"]["footprint_peak_count"]
+
+    def test_serial_record_sums_the_artifacts(
+        self, small_scenario, jobs, serial_artifacts
+    ):
+        (stage,), digest = self.record(
+            small_scenario.gazetteer, ParallelConfig(), jobs
+        )
+        assert stage["stage"] == "exec.peak_selection"
+        assert stage["records_in"] == sum(
+            a.peaks_found for a in serial_artifacts
+        )
+        assert stage["records_out"] == sum(
+            len(a.peak_latlons) for a in serial_artifacts
+        )
+        assert digest["count"] == len(jobs)
+
+    def test_same_for_every_schedule_and_cache_state(
+        self, small_scenario, jobs, tmp_path
+    ):
+        gazetteer = small_scenario.gazetteer
+        serial = self.record(gazetteer, ParallelConfig(), jobs)
+        cached = ParallelConfig(
+            workers=2, chunk_size=2, cache_dir=str(tmp_path)
+        )
+        assert self.record(gazetteer, cached, jobs) == serial  # cold
+        assert self.record(gazetteer, cached, jobs) == serial  # warm
 
 
 class TestWorkerResourceProfiles:

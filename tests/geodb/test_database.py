@@ -52,6 +52,20 @@ class TestGeoDatabase:
         with pytest.raises(ValueError, match="already present"):
             database.add_block(prefix, record("Milan"))
 
+    def test_duplicate_block_without_record_rejected(self):
+        # A block present with a None record is still present.
+        database = GeoDatabase("test")
+        prefix = Prefix.parse("10.0.0.0/24")
+        database.add_block(prefix, None)
+        with pytest.raises(ValueError, match="already present"):
+            database.add_block(prefix, None)
+        with pytest.raises(ValueError, match="already present"):
+            database.add_block(prefix, record())
+        assert len(database) == 1
+        assert database.missing_count == 1
+        assert database.record_count == 0
+        assert database.blocks() == [(prefix, None)]
+
     def test_lookup_block_returns_prefix(self):
         database = GeoDatabase("test")
         prefix = Prefix.parse("10.0.0.0/26")

@@ -147,6 +147,13 @@ class TestPrefixTable:
         table.insert(Prefix.parse("10.0.0.0/8"), "a")
         assert table.lookup_exact(Prefix.parse("10.0.0.0/9")) is None
 
+    def test_contains_tests_presence_not_value(self):
+        table = PrefixTable()
+        table.insert(Prefix.parse("10.0.0.0/8"), None)
+        assert Prefix.parse("10.0.0.0/8") in table
+        assert Prefix.parse("10.0.0.0/9") not in table
+        assert Prefix.parse("11.0.0.0/8") not in table
+
     def test_lookup_entry_returns_prefix(self):
         table = PrefixTable()
         table.insert(Prefix.parse("10.1.0.0/16"), "x")

@@ -197,29 +197,42 @@ class TestObsDir:
     def test_stdout_identical_with_memory_and_workers(
         self, tmp_path, capsys
     ):
-        assert main(["--seed", "943", "table1"]) == 0
+        figure2 = ["--seed", "943", "--reference-ases", "4", "figure2"]
+        assert main(figure2) == 0
         plain = capsys.readouterr().out
         assert main([
             "--obs-dir", str(tmp_path / "run"), "--memory",
-            "--workers", "2", "--seed", "943", "table1",
+            "--workers", "2", *figure2,
         ]) == 0
         captured = capsys.readouterr()
         assert captured.out == plain
         assert "run bundle written to" in captured.err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["resource_profile"]["workers"]
 
     def test_command_errors_propagate_like_an_unobserved_run(
         self, tmp_path, capsys
     ):
-        # A --cache-dir under a regular file fails inside the command;
-        # the bundle must not relabel that as an observability error.
+        # A --cache-dir under a regular file fails inside the command,
+        # when the engine opens its cache; the bundle must not relabel
+        # that as an observability error.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        argv = ["--cache-dir", str(blocker / "x"), "table1"]
-        with pytest.raises(NotADirectoryError):
+        argv = [
+            "--cache-dir", str(blocker / "x"),
+            "--reference-ases", "4", "figure2",
+        ]
+        with pytest.raises(NotADirectoryError) as plain:
             main(argv)
-        with pytest.raises(NotADirectoryError):
+        with pytest.raises(NotADirectoryError) as observed:
             main(["--obs-dir", str(tmp_path / "run"), *argv])
         assert "observability" not in capsys.readouterr().err
+        for raised in (plain, observed):
+            assert any(
+                entry.name == "__init__"
+                and entry.path.parts[-2:] == ("exec", "cache.py")
+                for entry in raised.traceback
+            )
 
     def test_unwritable_bundle_exits_one(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -96,15 +96,22 @@ class TestMergeSnapshot:
 
 class TestParallelRun:
     @pytest.fixture(scope="class")
-    def parallel_flame(self, tmp_path_factory):
+    def parallel_report(self, tmp_path_factory):
         bundle = tmp_path_factory.mktemp("parallel-flame")
         status = main([
             "--workers", "2",
             "--obs-dir", str(bundle),
-            "--seed", FRESH_SEED, "table1",
+            "--seed", FRESH_SEED, "--reference-ases", "4", "figure2",
         ])
         assert status == 0
-        return RunReport.load(bundle / "report.json").flame_profile
+        return RunReport.load(bundle / "report.json")
+
+    @pytest.fixture(scope="class")
+    def parallel_flame(self, parallel_report):
+        return parallel_report.flame_profile
+
+    def test_the_engine_fanned_out(self, parallel_report):
+        assert parallel_report.resource_profile["workers"]
 
     def test_one_merged_profile_validates(self, parallel_flame):
         assert parallel_flame["schema"] == FLAME_SCHEMA
@@ -113,7 +120,7 @@ class TestParallelRun:
 
     def test_host_stages_are_attributed(self, parallel_flame):
         stages = set(stage_samples(parallel_flame))
-        assert stages  # at least the host's cli/table1 spans sampled
+        assert stages  # at least the host's cli/figure2 spans sampled
         assert all(isinstance(stage, str) and stage for stage in stages)
 
     def test_no_leaf_frame_is_arming_code(self, parallel_flame):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.exec import ParallelConfig
 from repro.obs import telemetry as obs
 from repro.pipeline import build_footprint_jobs, run_footprint_stage
 
@@ -65,21 +64,27 @@ class TestStage:
 
 
 class TestScenarioWiring:
+    """The batch methods run on the engine; the per-AS methods call
+    ``core`` directly and are the reference."""
+
     def test_pop_footprints_engine_path_matches_inline(
         self, small_scenario, asns
     ):
-        inline = small_scenario.pop_footprints(asns, BANDWIDTH_KM)
-        engine = small_scenario.pop_footprints(
-            asns, BANDWIDTH_KM, parallel=ParallelConfig.serial()
-        )
-        assert list(engine) == list(inline)
-        assert engine == inline
+        batch = small_scenario.pop_footprints(asns, BANDWIDTH_KM)
+        assert list(batch) == list(asns)
+        for asn in asns:
+            assert batch[asn] == small_scenario.pop_footprint(
+                asn, BANDWIDTH_KM
+            )
 
     def test_peak_location_sets_engine_path_matches_inline(
         self, small_scenario, asns
     ):
-        inline = small_scenario.peak_location_sets(asns, BANDWIDTH_KM)
-        engine = small_scenario.peak_location_sets(
-            asns, BANDWIDTH_KM, parallel=ParallelConfig.serial()
-        )
-        assert engine == inline
+        with obs.capture() as telemetry:
+            batch = small_scenario.peak_location_sets(asns, BANDWIDTH_KM)
+        assert telemetry.counters["exec.jobs"] == len(asns)
+        assert list(batch) == list(asns)
+        for asn in asns:
+            assert batch[asn] == small_scenario.peak_locations(
+                asn, BANDWIDTH_KM
+            )

@@ -27,6 +27,23 @@ class TestParser:
         assert args.seed == 5
         assert not args.strict
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "flag, command", [
+            ("--reference-ases", "section5"),
+            ("--chunk-size", "table1"),
+        ],
+    )
+    def test_count_flags_reject_nonpositive_values(
+        self, flag, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main([flag, value, command])
+        assert exited.value.code == 2
+        assert f"argument {flag}: must be a positive integer" in (
+            capsys.readouterr().err
+        )
+
 
 def _readme_flag_table():
     """Flag names from README's "### Global flags" table."""
@@ -153,6 +170,16 @@ class TestCommands:
         assert status == 0
         assert "RAI" in out
         assert "NaMEX" in out
+
+    def test_table1_never_opens_the_footprint_cache(self, tmp_path, capsys):
+        # Table 1 reads no footprint, so engine flags leave it alone.
+        cache = tmp_path / "fpcache"
+        status = main([
+            "--workers", "2", "--cache-dir", str(cache), "table1"
+        ])
+        assert status == 0
+        assert "shape checks:" in capsys.readouterr().out
+        assert not cache.exists()
 
     def test_figure2_small_reference(self, capsys):
         status = main(["--reference-ases", "10", "figure2"])
