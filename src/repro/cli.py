@@ -968,13 +968,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         help="how many slowest spans to rank (default: 10)",
     )
     stats.add_argument(
         "--profile-ases",
-        type=int,
+        type=_positive_int,
         default=3,
         help="target ASes to run the KDE/PoP stages on (default: 3)",
     )
@@ -1099,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flame.add_argument(
         "--top",
-        type=int,
+        type=_positive_int,
         default=10,
         help="how many hottest frames to rank (default: 10)",
     )

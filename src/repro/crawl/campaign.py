@@ -17,12 +17,10 @@ from typing import List, Tuple
 import numpy as np
 
 from ..net.ecosystem import ASEcosystem
-from ..obs import lineage
 from ..obs import telemetry as obs
-from ..obs.lineage import DropReason
 from ..obs.progress import tracker
 from .apps import P2PApp, default_apps
-from .crawler import PeerSample
+from .crawler import PeerSample, user_rates
 from .population import UserPopulation
 
 
@@ -80,16 +78,17 @@ class CrawlCampaign:
 
 
 def _evolve_adoption(
-    adopters: np.ndarray, rate: float, churn: float, rng: np.random.Generator
+    adopters: np.ndarray,
+    rate: np.ndarray,
+    churn: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """One month of user churn, stationary in the adoption rate.
 
     Adopters quit with probability ``churn``; non-adopters join with the
-    probability that keeps the expected adoption at ``rate``.
+    probability that keeps the expected adoption at their ``rate``.
     """
-    if rate <= 0.0:
-        return np.zeros_like(adopters)
-    join_prob = min(churn * rate / max(1.0 - rate, 1e-9), 1.0)
+    join_prob = np.minimum(churn * rate / np.maximum(1.0 - rate, 1e-9), 1.0)
     draws = rng.random(adopters.size)
     quit_mask = adopters & (draws < churn)
     join_mask = ~adopters & (draws < join_prob)
@@ -114,24 +113,17 @@ def _run_campaign(
     apps = config.resolved_apps()
     rng = np.random.default_rng(config.seed)
     n_users = len(population)
-    user_asn = population.user_asn
-    asns = np.unique(user_asn)
-
+    rates = [
+        user_rates(ecosystem, population, app.adoption_rate_for_as, config.seed)
+        for app in apps
+    ]
     # Initial adoption per app.
-    adoption = np.zeros((n_users, len(apps)), dtype=bool)
-    rates = {}
-    for column, app in enumerate(apps):
-        draws = rng.random(n_users)
-        for asn in asns:
-            node = ecosystem.as_nodes[int(asn)]
-            rate = app.adoption_rate_for_as(
-                int(asn), node.continent_code, config.seed
-            )
-            rates[(column, int(asn))] = rate
-            if rate <= 0.0:
-                continue
-            mask = user_asn == asn
-            adoption[mask, column] = draws[mask] < rate
+    adoption = np.stack([rng.random(n_users) < rate for rate in rates], axis=1)
+    # Churn draws one value per user with a positive rate, AS by AS in
+    # ascending AS order and in index order within an AS: one draw per
+    # app and month yields exactly the values of one draw per (app, AS).
+    by_as = np.argsort(population.user_asn, kind="stable")
+    churning = [by_as[rate[by_as] > 0.0] for rate in rates]
 
     monthly: List[PeerSample] = []
     union_membership = np.zeros((n_users, len(apps)), dtype=bool)
@@ -143,8 +135,7 @@ def _run_campaign(
                 rng.random((n_users, len(apps))) < config.monthly_observation
             )
             union_membership |= observed
-            seen = observed.any(axis=1)
-            index = np.flatnonzero(seen)
+            index = np.flatnonzero(observed.any(axis=1))
             monthly.append(
                 PeerSample(
                     population=population,
@@ -153,29 +144,14 @@ def _run_campaign(
                     membership=observed[index],
                 )
             )
-            # Churn between months, per app and AS (stationary rates).
-            for column in range(len(apps)):
-                for asn in asns:
-                    rate = rates[(column, int(asn))]
-                    mask = user_asn == asn
-                    adoption[mask, column] = _evolve_adoption(
-                        adoption[mask, column], rate, config.churn, rng
-                    )
+            # Churn between months, per app (stationary rates).
+            for column, (users, rate) in enumerate(zip(churning, rates)):
+                adoption[users, column] = _evolve_adoption(
+                    adoption[users, column], rate[users], config.churn, rng
+                )
             progress.advance()
 
-    union_seen = union_membership.any(axis=1)
-    union_index = np.flatnonzero(union_seen)
-    lineage.record_stage(
-        "crawl.campaign",
-        unit="users",
-        records_in=n_users,
-        records_out=int(union_index.size),
-        drops={DropReason.NOT_OBSERVED: n_users - int(union_index.size)},
-    )
-    union = PeerSample(
-        population=population,
-        app_names=tuple(app.name for app in apps),
-        user_index=union_index,
-        membership=union_membership[union_index],
+    union = PeerSample.observed(
+        "crawl.campaign", population, apps, union_membership
     )
     return CrawlCampaign(monthly=monthly, union=union)

@@ -11,7 +11,7 @@ initial peer dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,37 @@ class PeerSample:
 
     def __len__(self) -> int:
         return int(self.user_index.size)
+
+    @classmethod
+    def observed(
+        cls,
+        stage: str,
+        population: UserPopulation,
+        apps: Sequence[P2PApp],
+        membership: np.ndarray,
+    ) -> "PeerSample":
+        """The users a crawl saw, from its full-population membership.
+
+        ``membership`` has one row per population user and one column
+        per app; every user with a ``True`` in their row is kept.  The
+        crawl's funnel ``stage`` is recorded, with every other user
+        dropped as ``NOT_OBSERVED``.
+        """
+        n_users = len(population)
+        user_index = np.flatnonzero(membership.any(axis=1))
+        lineage.record_stage(
+            stage,
+            unit="users",
+            records_in=n_users,
+            records_out=int(user_index.size),
+            drops={DropReason.NOT_OBSERVED: n_users - int(user_index.size)},
+        )
+        return cls(
+            population=population,
+            app_names=tuple(app.name for app in apps),
+            user_index=user_index,
+            membership=membership[user_index],
+        )
 
     @property
     def ips(self) -> np.ndarray:
@@ -97,6 +128,24 @@ class CrawlConfig:
         return self.apps if self.apps else default_apps()
 
 
+def user_rates(
+    ecosystem: ASEcosystem,
+    population: UserPopulation,
+    rate_for_as: Callable[[int, str, int], float],
+    seed: int,
+) -> np.ndarray:
+    """Every user's rate ``rate_for_as(asn, continent_code, seed)``.
+
+    ``rate_for_as`` is an app's :meth:`~repro.crawl.apps.P2PApp.rate_for_as`
+    or :meth:`~repro.crawl.apps.P2PApp.adoption_rate_for_as`; it is
+    evaluated once per AS, and each user carries their AS's rate.
+    """
+    as_nodes = ecosystem.as_nodes
+    return population.gather_by_as(
+        lambda asn: rate_for_as(asn, as_nodes[asn].continent_code, seed)
+    )
+
+
 def run_crawl(
     ecosystem: ASEcosystem,
     population: UserPopulation,
@@ -112,53 +161,26 @@ def run_crawl(
     with obs.span("crawl.run"):
         rng = np.random.default_rng(config.seed)
         n_users = len(population)
-        user_asn = population.user_asn
         membership = np.zeros((n_users, len(apps)), dtype=bool)
         bias_multiplier = bias.per_user(population) if bias is not None else None
 
-        asns = np.unique(user_asn)
-        with tracker(
-            "crawl.run", total=len(apps) * int(asns.size), unit="as-apps"
-        ) as progress:
+        with tracker("crawl.run", total=len(apps), unit="apps") as progress:
             for app_column, app in enumerate(apps):
                 draws = rng.random(n_users)
-                for asn in asns:
-                    progress.advance()
-                    node = ecosystem.as_nodes[int(asn)]
-                    rate = app.rate_for_as(
-                        int(asn), node.continent_code, config.seed
-                    )
-                    if rate <= 0.0:
-                        continue
-                    mask = user_asn == asn
-                    if bias_multiplier is None:
-                        membership[mask, app_column] = draws[mask] < rate
-                    else:
-                        membership[mask, app_column] = draws[mask] < np.minimum(
-                            rate * bias_multiplier[mask], 1.0
-                        )
+                rate = user_rates(
+                    ecosystem, population, app.rate_for_as, config.seed
+                )
+                if bias_multiplier is not None:
+                    rate = np.minimum(rate * bias_multiplier, 1.0)
+                membership[:, app_column] = draws < rate
+                progress.advance()
 
-        seen = membership.any(axis=1)
-        user_index = np.flatnonzero(seen)
+        sample = PeerSample.observed("crawl.run", population, apps, membership)
         obs.gauge("crawl.users", n_users)
-        obs.count("crawl.peers_sampled", int(user_index.size))
-        lineage.record_stage(
-            "crawl.run",
-            unit="users",
-            records_in=n_users,
-            records_out=int(user_index.size),
-            drops={DropReason.NOT_OBSERVED: n_users - int(user_index.size)},
-        )
-        for app_column, app in enumerate(apps):
-            obs.count(
-                f"crawl.peers.{app.name}", int(membership[:, app_column].sum())
-            )
-        return PeerSample(
-            population=population,
-            app_names=tuple(app.name for app in apps),
-            user_index=user_index,
-            membership=membership[user_index],
-        )
+        obs.count("crawl.peers_sampled", len(sample))
+        for name, count in sample.count_by_app().items():
+            obs.count(f"crawl.peers.{name}", count)
+        return sample
 
 
 def crawl_union_size(samples: Sequence[PeerSample]) -> int:

@@ -16,7 +16,7 @@ errors are correlated within a block — as they are in real databases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -85,7 +85,19 @@ class UserPopulation:
 
     def users_of_as(self, asn: int) -> np.ndarray:
         """Indices of the users belonging to one AS."""
-        return np.flatnonzero(self.user_asn == asn)
+        in_as = self._block_asn == int(asn)
+        return np.flatnonzero(in_as[self.user_block])
+
+    def gather_by_as(self, value_of: Callable[[int], float]) -> np.ndarray:
+        """``value_of(asn)`` for every user, evaluated once per AS.
+
+        The per-AS values reach the users through the block column, so
+        the cost is one call per distinct AS plus an O(blocks + users)
+        gather: no per-AS scan of the users and no per-user sort.
+        """
+        asns, block_slot = np.unique(self._block_asn, return_inverse=True)
+        per_as = np.array([value_of(int(asn)) for asn in asns], dtype=float)
+        return per_as[block_slot][self.user_block]
 
 
 @dataclass(frozen=True)
@@ -197,9 +209,9 @@ def _generate_population(
             city = world.city(pop.city_key)
             zip_indices = _scatter_users(city, int(count), config, rng, zipgrid)
             zlats, zlons = zipgrid.centroids(city)
-            for zip_idx in np.unique(zip_indices):
-                group = int(np.sum(zip_indices == zip_idx))
-                remaining = group
+            zip_ids, zip_counts = np.unique(zip_indices, return_counts=True)
+            for zip_idx, group in zip(zip_ids, zip_counts):
+                remaining = int(group)
                 while remaining > 0:
                     block_prefix = carver.carve(remaining, config.block_capacity)
                     take = min(remaining, block_prefix.size)

@@ -27,12 +27,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..net.ecosystem import ASEcosystem
-from ..obs import lineage
 from ..obs import telemetry as obs
-from ..obs.lineage import DropReason
 from ..obs.progress import tracker
 from .apps import P2PApp, default_apps
-from .crawler import PeerSample
+from .crawler import PeerSample, user_rates
 from .population import UserPopulation
 
 
@@ -235,8 +233,6 @@ def _run_protocol_crawl(
     apps = config.resolved_apps()
     rng = np.random.default_rng(config.seed)
     n_users = len(population)
-    user_asn = population.user_asn
-    asns = np.unique(user_asn)
     membership = np.zeros((n_users, len(apps)), dtype=bool)
 
     with tracker(
@@ -244,34 +240,13 @@ def _run_protocol_crawl(
     ) as progress:
         for column, app in enumerate(apps):
             draws = rng.random(n_users)
-            adoption = np.zeros(n_users, dtype=bool)
-            for asn in asns:
-                node = ecosystem.as_nodes[int(asn)]
-                rate = app.adoption_rate_for_as(
-                    int(asn), node.continent_code, config.seed
-                )
-                if rate <= 0.0:
-                    continue
-                mask = user_asn == asn
-                adoption[mask] = draws[mask] < rate
-            adopters = np.flatnonzero(adoption)
+            rate = user_rates(
+                ecosystem, population, app.adoption_rate_for_as, config.seed
+            )
+            adopters = np.flatnonzero(draws < rate)
             protocol = config.protocol_for(app.name)
             observed_local = protocol.observe(adopters.size, rng)
             membership[adopters[observed_local], column] = True
             progress.advance()
 
-    seen = membership.any(axis=1)
-    index = np.flatnonzero(seen)
-    lineage.record_stage(
-        "crawl.protocol",
-        unit="users",
-        records_in=n_users,
-        records_out=int(index.size),
-        drops={DropReason.NOT_OBSERVED: n_users - int(index.size)},
-    )
-    return PeerSample(
-        population=population,
-        app_names=tuple(app.name for app in apps),
-        user_index=index,
-        membership=membership[index],
-    )
+    return PeerSample.observed("crawl.protocol", population, apps, membership)

@@ -69,6 +69,10 @@ DEFAULT_SHARE_TOLERANCE = 0.10
 #: runs are never judged.
 DEFAULT_MIN_SHARE = 0.05
 
+#: A frame's share shift is judged only when it exceeds this many
+#: standard errors of the difference of its two sampled shares.
+SHARE_ERROR_Z = 3.0
+
 #: One interned frame: (function name, shortened file path, def line).
 Frame = Tuple[str, str, int]
 
@@ -516,6 +520,22 @@ class FlameDiff:
         return "\n".join(lines)
 
 
+def _share_shift_error(
+    old_share: float, old_samples: int, new_share: float, new_samples: int
+) -> float:
+    """Standard error of the difference of two sampled self-shares.
+
+    Each share is a binomial proportion over its stage's sample count.
+    Its +1/+2 pseudo-counts keep a share of 0 or 1 over a handful of
+    samples from reading as exact.
+    """
+    variance = 0.0
+    for share, samples in ((old_share, old_samples), (new_share, new_samples)):
+        p = (share * samples + 1.0) / (samples + 2.0)
+        variance += p * (1.0 - p) / samples
+    return variance ** 0.5
+
+
 def diff_flame(
     old: Dict[str, Any],
     new: Dict[str, Any],
@@ -527,14 +547,18 @@ def diff_flame(
 
     The frame-level sibling of :func:`repro.obs.diff.diff_reports`:
     for every stage sampled in both profiles, a frame whose self-time
-    share of the stage grew by more than ``share_tolerance``
-    (absolute) is a regression — but frames under ``min_share`` in
-    *both* runs are never judged, so sampling noise on cold frames
-    cannot trip the gate.  Stages present in only one profile are
-    skipped (there is nothing to compare).
+    share of the stage grew by more than ``share_tolerance`` (absolute)
+    *and* by more than :data:`SHARE_ERROR_Z` standard errors of the
+    shift (from the two stages' sample counts) is a regression; a fall
+    past both is an improvement.  So a stage of a few samples, whose
+    shares jump by whole samples, cannot trip the gate.  Frames under
+    ``min_share`` in *both* runs are never judged, and stages present
+    in only one profile are skipped (there is nothing to compare).
     """
     old_shares = stage_self_shares(old)
     new_shares = stage_self_shares(new)
+    old_samples = stage_samples(old)
+    new_samples = stage_samples(new)
     regressions: List[FrameShift] = []
     improvements: List[FrameShift] = []
     for stage in sorted(set(old_shares) & set(new_shares)):
@@ -549,9 +573,12 @@ def diff_flame(
                 stage=stage, frame=frame,
                 old_share=old_share, new_share=new_share,
             )
-            if shift.delta > share_tolerance:
+            bound = max(share_tolerance, SHARE_ERROR_Z * _share_shift_error(
+                old_share, old_samples[stage], new_share, new_samples[stage]
+            ))
+            if shift.delta > bound:
                 regressions.append(shift)
-            elif shift.delta < -share_tolerance:
+            elif shift.delta < -bound:
                 improvements.append(shift)
     regressions.sort(key=lambda s: (-s.delta, s.stage, s.frame))
     improvements.sort(key=lambda s: (s.delta, s.stage, s.frame))

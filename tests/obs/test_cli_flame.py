@@ -231,10 +231,11 @@ class TestHotFrameGate:
         assert "lookup" in captured.err
 
     def test_tolerance_flag_widens_the_gate(self, bundle_copy, capsys):
-        # share_tolerance in the baseline's thresholds.json.
-        frames = {"x.y": [("a", 5), ("b", 5)]}
+        # share_tolerance in the baseline's thresholds.json.  The 20-point
+        # shift rests on 200 samples a side, well past sampling error.
+        frames = {"x.y": [("a", 100), ("b", 100)]}
         new = str(self._bundle(
-            bundle_copy, "new", {"x.y": [("a", 7), ("b", 3)]}
+            bundle_copy, "new", {"x.y": [("a", 140), ("b", 60)]}
         ))
         strict = self._base(bundle_copy, "strict", frames)
         assert main(["stats", "check", new, "--baseline", strict]) == 1

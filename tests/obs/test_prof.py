@@ -390,6 +390,25 @@ class TestDiffFlame:
         diff = diff_flame(old, new, share_tolerance=0.01, min_share=0.05)
         assert all(not s.frame.startswith("cold") for s in diff.regressions)
 
+    def test_one_sample_stage_flip_is_not_a_regression(self):
+        # 0% -> 100% of a 1-sample stage is one sample landing elsewhere.
+        old = self._profile({"x.rare": [("a", 1)], "x.y": [("c", 50)]})
+        new = self._profile({"x.rare": [("b", 1)], "x.y": [("c", 50)]})
+        diff = diff_flame(old, new)
+        assert diff.regressions == [] and diff.improvements == []
+
+    def test_shift_within_sampling_error_is_not_judged(self):
+        # 5/10 -> 7/10 is past the tolerance but not past sampling error;
+        # the same shares over 20x the samples are.
+        old = self._profile({"x.y": [("a", 5), ("b", 5)]})
+        new = self._profile({"x.y": [("a", 7), ("b", 3)]})
+        assert diff_flame(old, new).verdict == "ok"
+        old = self._profile({"x.y": [("a", 100), ("b", 100)]})
+        new = self._profile({"x.y": [("a", 140), ("b", 60)]})
+        diff = diff_flame(old, new)
+        assert [s.frame[0] for s in diff.regressions] == ["a"]
+        assert [s.frame[0] for s in diff.improvements] == ["b"]
+
     def test_within_tolerance_is_ok(self):
         old = self._profile({"x.y": [("a", 50), ("b", 50)]})
         new = self._profile({"x.y": [("a", 55), ("b", 45)]})

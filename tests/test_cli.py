@@ -29,16 +29,31 @@ class TestParser:
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize(
-        "flag, command", [
-            ("--reference-ases", "section5"),
-            ("--chunk-size", "table1"),
+        "flag, argv", [
+            pytest.param(
+                "--reference-ases", "{flag} {value} section5",
+                id="--reference-ases-section5",
+            ),
+            pytest.param(
+                "--chunk-size", "{flag} {value} table1",
+                id="--chunk-size-table1",
+            ),
+            pytest.param("--top", "stats {flag} {value}", id="--top-stats"),
+            pytest.param(
+                "--profile-ases", "stats {flag} {value}",
+                id="--profile-ases-stats",
+            ),
+            pytest.param(
+                "--top", "stats flame report.json {flag} {value}",
+                id="--top-stats-flame",
+            ),
         ],
     )
     def test_count_flags_reject_nonpositive_values(
-        self, flag, command, value, capsys
+        self, flag, argv, value, capsys
     ):
         with pytest.raises(SystemExit) as exited:
-            main([flag, value, command])
+            main(argv.format(flag=flag, value=value).split())
         assert exited.value.code == 2
         assert f"argument {flag}: must be a positive integer" in (
             capsys.readouterr().err
