@@ -30,9 +30,13 @@ examples:
 experiments:
 	$(PYTHON) -m repro.cli all
 
-# The instrumented smoke run, defined once for the gate (smoke) and for
-# refreshing its committed baseline (smoke-baseline).
+# The instrumented smoke runs, defined once for the gate (smoke) and for
+# refreshing their committed baselines (smoke-baseline): table1 covers
+# the Section 2 conditioning, section5 the Section 3-4 KDE, peak
+# selection and PoP matching.
 SMOKE_RUN = $(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/run --memory table1
+SMOKE_RUN_SECTION5 = $(PYTHON) -m repro.cli --obs-dir $(SMOKE_DIR)/section5 \
+	--memory section5
 
 profile:
 	$(PYTHON) -m repro.cli --log-level info stats --top 10
@@ -55,18 +59,21 @@ lint-tests:
 		--no-baseline
 
 # The CI perf + data + resource gate, runnable locally (CI runs this
-# target, so each gate is defined here once): the instrumented smoke run
-# writes its bundle (report, event stream, trace) to $(SMOKE_DIR)/run,
-# and `stats check` runs every gate on it against the committed
-# baseline and its thresholds (exit 1 on a failed gate, 2 on an input
-# it cannot judge).  The speedscope export lands in $(SMOKE_DIR) as a
-# CI artifact.
+# target, so each gate is defined here once): each instrumented smoke
+# run writes its bundle (report, event stream, trace) to $(SMOKE_DIR),
+# and `stats check` runs every gate on it against its committed
+# baseline and thresholds (exit 1 on a failed gate, 2 on an input it
+# cannot judge).  The table1 speedscope export lands in $(SMOKE_DIR) as
+# a CI artifact.
 smoke:
 	$(SMOKE_RUN)
 	$(PYTHON) -m repro.cli stats check $(SMOKE_DIR)/run \
 		--baseline benchmarks/baselines/smoke
 	$(PYTHON) -m repro.cli stats flame $(SMOKE_DIR)/run/report.json \
 		--format speedscope > $(SMOKE_DIR)/smoke-flame-speedscope.json
+	$(SMOKE_RUN_SECTION5)
+	$(PYTHON) -m repro.cli stats check $(SMOKE_DIR)/section5 \
+		--baseline benchmarks/baselines/section5
 
 # The CI engine gate, runnable locally.  Every footprint batch runs
 # through the repro.exec engine, so its schedule may change only the
@@ -126,11 +133,14 @@ smoke-stream:
 		print('stream gate ok:', int(chunks), 'chunks, rss peak', \
 			int(gauges['pipeline.stream.rss_peak_kib']), 'KiB')"
 
-# Refresh the committed perf baseline (only for understood changes):
-# the smoke run's report becomes benchmarks/baselines/smoke/report.json.
+# Refresh the committed perf baselines (only for understood changes):
+# each smoke run's report becomes its baseline's report.json.
 smoke-baseline:
 	$(SMOKE_RUN)
 	cp $(SMOKE_DIR)/run/report.json benchmarks/baselines/smoke/report.json
+	$(SMOKE_RUN_SECTION5)
+	cp $(SMOKE_DIR)/section5/report.json \
+		benchmarks/baselines/section5/report.json
 
 history:
 	$(PYTHON) -m repro.cli stats history

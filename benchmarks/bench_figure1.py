@@ -1,7 +1,7 @@
 """Benchmark F1 — regenerate Figure 1 (AS3269 KDE density at 20/40/60 km)
 and the Section 4.2 PoP-level footprint list.
 
-Shape targets: peak/partition counts fall as bandwidth grows; the 40 km
+Shape targets: PoP/partition counts fall as bandwidth grows; the 40 km
 PoP list is led by Milan and Rome and covers the paper's fourteen
 cities.
 """

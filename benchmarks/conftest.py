@@ -5,8 +5,9 @@ Each benchmark renders its table/figure next to the paper's numbers and
 archives it under ``benchmarks/results/`` twice: the human-readable
 ``<name>.txt`` EXPERIMENTS.md cites, and a machine-readable
 ``<name>.json`` timing record (name, wall-time, preset, seed, git rev,
-plus the run's full telemetry snapshot) so successive runs leave a
-perf trajectory future optimisation PRs can diff against.
+plus the run's top spans and hottest frames) so successive runs leave
+a small, comparable perf trajectory future optimisation PRs can diff
+against.
 
 Every record is additionally appended to the append-only run history
 ``benchmarks/results/history.jsonl`` (see ``repro.obs.history``), the
@@ -28,12 +29,12 @@ from repro.obs.sampler import sample
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Sampling rate of the per-benchmark resource profiler.
-BENCH_PROFILE_HZ = 10.0
-
-#: Sampling rate of the per-benchmark stack profiler (prime, so it
-#: never locks step with the resource sampler above).
+#: Sampling rate of the per-benchmark stack profiler.
 BENCH_FLAME_HZ = 97.0
+
+#: Slowest span paths embedded per timing record (path, count,
+#: total_s): where the wall time went, without the whole span tree.
+BENCH_TOP_SPANS = 10
 
 #: Hottest frames embedded per timing record (self/total sample counts
 #: and shares) — enough to spot a shifted hot path in the trajectory
@@ -78,21 +79,16 @@ def archive(request):
     shared scenario build) are set up before the timer starts, so the
     record isolates what *this* benchmark did.
 
-    Telemetry is captured for the duration of the test, embedded in the
-    JSON record under ``"telemetry"``, and the whole record is appended
-    to ``results/history.jsonl``.  One sampler runs alongside: its
-    resource reader (rollups only) embeds its per-stage accounting
-    under ``"resources"`` — the numbers ``benchmarks/baselines/``'s
-    resource budget is calibrated against — and its stack reader
-    embeds the run's hottest frames under ``"frames"`` so the
-    trajectory also records *where* each benchmark spent its time.
+    Telemetry is captured for the duration of the test and a stack
+    sampler runs alongside.  The record keeps what a trajectory reads:
+    the wall time, the slowest span paths under ``"top_spans"`` and the
+    hottest frames under ``"frames"``, so it also records *where* each
+    benchmark spent its time.  The whole record is appended to
+    ``results/history.jsonl``.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
     with obs.capture() as telemetry, sample(
-        telemetry,
-        profile_hz=BENCH_PROFILE_HZ,
-        flame_hz=BENCH_FLAME_HZ,
-        keep_samples=False,
+        telemetry, flame_hz=BENCH_FLAME_HZ
     ) as sampler:
         start = time.perf_counter()
 
@@ -108,8 +104,11 @@ def archive(request):
                 "seed": BENCH_SEED,
                 "git_rev": _git_rev(),
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                "telemetry": telemetry.snapshot(),
-                "resources": documents["resource_profile"],
+                "top_spans": [
+                    {"path": path, "count": node.count,
+                     "total_s": round(node.total_s, 6)}
+                    for path, node in telemetry.top_spans(BENCH_TOP_SPANS)
+                ],
                 "frames": top_frames(
                     documents["flame_profile"], n=BENCH_TOP_FRAMES
                 ),

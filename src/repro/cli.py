@@ -394,7 +394,6 @@ THRESHOLDS_FILE = "thresholds.json"
 #: :func:`repro.obs.resources.check_budget`.
 _THRESHOLD_KEYS = {
     "diff": {field.name for field in dataclasses.fields(DiffThresholds)},
-    "flame": {"share_tolerance", "min_share"},
     "budget": None,
 }
 
@@ -427,8 +426,7 @@ def _verdict(problems: Sequence[str], path) -> _Verdict:
 def load_thresholds(baseline) -> Dict[str, Any]:
     """The gate limits in ``BASE/thresholds.json``.
 
-    Returns ``diff`` (a :class:`DiffThresholds`), ``flame`` (keyword
-    arguments of :func:`repro.obs.prof.diff_flame`) and ``budget`` (a
+    Returns ``diff`` (a :class:`DiffThresholds`) and ``budget`` (a
     ``repro.resource-budget/v1`` document or ``None``); an absent file
     or section means the defaults and no budget.  Raises
     ``ValueError`` naming the first unknown key.
@@ -448,7 +446,6 @@ def load_thresholds(baseline) -> Dict[str, Any]:
             raise ValueError(f"{path}: unknown key {section}.{unknown[0]!r}")
     return {
         "diff": DiffThresholds(**data.get("diff", {})),
-        "flame": dict(data.get("flame", {})),
         "budget": data.get("budget"),
     }
 
@@ -659,7 +656,7 @@ def _diff_gate(old_path, old, new_path, new, limits) -> _Verdict:
     )
 
 
-def _flame_diff_gate(old_path, old, new_path, new, limits) -> _Verdict:
+def _flame_diff_gate(old_path, old, new_path, new) -> _Verdict:
     """Hot-frame drift, judged only when both reports carry flames."""
     for report, path in ((old, old_path), (new, new_path)):
         if not report.flame_profile:
@@ -668,8 +665,7 @@ def _flame_diff_gate(old_path, old, new_path, new, limits) -> _Verdict:
                 f"not judged: {path} has no {obs_prof.FLAME_SCHEMA} section",
             )
     result = obs_prof.diff_flame(
-        _flame_profile(old, old_path), _flame_profile(new, new_path),
-        **limits,
+        _flame_profile(old, old_path), _flame_profile(new, new_path)
     )
     *detail, tail = filter(None, result.render_text().splitlines())
     return _Verdict(
@@ -730,12 +726,12 @@ def cmd_stats_check(args) -> int:
         except (OSError, ValueError) as exc:
             raise _BadInput(f"cannot load thresholds: {exc}") from None
 
-        def against_base(gate, kind: str) -> _Verdict:
+        def against_base(gate, *extra) -> _Verdict:
             if not base_path.exists():
                 return _Verdict("skipped", f"not judged: no {base_path}")
             return gate(
                 base_path, _load_report(base_path), report_path, report(),
-                limits[kind],
+                *extra,
             )
 
         def budget() -> _Verdict:
@@ -748,8 +744,8 @@ def cmd_stats_check(args) -> int:
                 base / THRESHOLDS_FILE,
             )
 
-        gates["diff"] = lambda: against_base(_diff_gate, "diff")
-        gates["flame-diff"] = lambda: against_base(_flame_diff_gate, "flame")
+        gates["diff"] = lambda: against_base(_diff_gate, limits["diff"])
+        gates["flame-diff"] = lambda: against_base(_flame_diff_gate)
         gates["budget"] = budget
     verdicts: Dict[str, _Verdict] = {}
     for name, gate in gates.items():

@@ -47,7 +47,7 @@ from .jobs import FootprintArtifact, FootprintJob
 #: footprint algorithm (KDE, contouring, peak detection, PoP mapping)
 #: or to the artifact layout — stale entries then miss instead of
 #: serving results computed by old code.
-CODE_SALT = "repro-footprint/v2"
+CODE_SALT = "repro-footprint/v3"
 
 #: On-disk entry suffix.
 ENTRY_SUFFIX = ".pkl"

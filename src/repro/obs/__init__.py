@@ -90,13 +90,10 @@ from .logconfig import configure_logging, get_logger, kv
 from .memory import MEMORY_GAUGE_PREFIX, MemoryTelemetry, capture_memory
 from .prof import (
     FLAME_DIFF_SCHEMA,
-    FLAME_GAUGE_PREFIX,
-    FLAME_GAUGES,
     FLAME_SCHEMA,
     FlameDiff,
     FrameShift,
     diff_flame,
-    flame_gauges,
     merge_flame,
     render_collapsed,
     render_flame,
@@ -111,15 +108,12 @@ from .progress import (
     StallWatchdog,
     tracker,
 )
-from .quality import QUALITY_GAUGE_PREFIX, QuantileDigest, observe
+from .quality import QuantileDigest, observe
 from .report import DATA_QUALITY_SCHEMA, SCHEMA, RunReport
 from .resources import (
     RESOURCE_BUDGET_SCHEMA,
-    RESOURCE_GAUGE_PREFIX,
     RESOURCE_PROFILE_SCHEMA,
-    ROLLUP_GAUGES,
     check_budget,
-    profile_gauges,
     render_profile,
     validate_profile,
 )
@@ -146,8 +140,6 @@ __all__ = [
     "EVENTS_SCHEMA",
     "EventStream",
     "FLAME_DIFF_SCHEMA",
-    "FLAME_GAUGE_PREFIX",
-    "FLAME_GAUGES",
     "FLAME_SCHEMA",
     "FlameDiff",
     "FrameShift",
@@ -165,13 +157,10 @@ __all__ = [
     "NullTelemetry",
     "ProgressTracker",
     "StallWatchdog",
-    "QUALITY_GAUGE_PREFIX",
     "QuantileDigest",
     "QuantileDrift",
     "RESOURCE_BUDGET_SCHEMA",
-    "RESOURCE_GAUGE_PREFIX",
     "RESOURCE_PROFILE_SCHEMA",
-    "ROLLUP_GAUGES",
     "ReportDiff",
     "ResourceDrift",
     "RetentionDrift",
@@ -189,7 +178,6 @@ __all__ = [
     "count",
     "diff_flame",
     "diff_reports",
-    "flame_gauges",
     "gauge",
     "get_logger",
     "get_telemetry",
@@ -199,7 +187,6 @@ __all__ = [
     "merge_snapshot",
     "observe",
     "parse_events",
-    "profile_gauges",
     "record_stage",
     "render_collapsed",
     "render_events",

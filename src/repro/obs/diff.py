@@ -3,12 +3,13 @@
 :func:`diff_reports` lines two :class:`~repro.obs.report.RunReport`
 objects up span-by-span (flattened to their ``" > "``-joined paths)
 and produces per-span wall-time deltas plus counter/gauge drift, all
-behind configurable relative thresholds so timer jitter on tiny spans
-never raises false alarms.  The result carries a machine-readable
-verdict (``"ok"`` / ``"regression"``) — the diff gate of the CLI's
-``stats check`` and the CI perf gate are thin wrappers over it.
+behind relative thresholds so timer jitter on tiny spans never raises
+false alarms.  The result carries a machine-readable verdict
+(``"ok"`` / ``"regression"``) — the diff gate of the CLI's ``stats
+check`` and the CI perf gate are thin wrappers over it.
 
-Noise handling:
+Three limits are settable per baseline (:class:`DiffThresholds`); the
+rest are the fixed module constants below.
 
 * a span is only judged when either run spent at least
   ``noise_floor_s`` in it — microsecond spans are reported but never
@@ -17,29 +18,27 @@ Noise handling:
   ``max_ratio`` (default 1.5×), so a genuine 2× slowdown always
   trips the gate while scheduler noise does not;
 * counters and gauges drift when their relative change exceeds
-  ``counter_rel_tol`` / ``gauge_rel_tol``; drift is reported and only
-  fails the verdict when ``fail_on_drift`` is set (counter drift on a
-  fixed seed usually means the experiment changed, not slowed).
+  :data:`COUNTER_REL_TOL` / :data:`GAUGE_REL_TOL`; that drift is
+  reported and never fails the verdict (counter drift on a fixed seed
+  usually means the experiment changed, not slowed).
 
 Beyond wall time, reports carrying a ``repro.data-quality/v1`` section
 are also compared as *datasets*: per-stage funnel **retention rates**
-(absolute tolerance ``retention_abs_tol``) and headline **quantiles**
-of every distribution digest (relative tolerance ``quantile_rel_tol``).
-Data drift fails the verdict by default — unlike counter drift, a
-shifted drop rate or error distribution on a fixed seed means the
-*input data* changed, which is exactly the silent failure this gate
-exists to catch.  ``fail_on_data_drift=False`` downgrades it to a
-report-only signal.
+(absolute tolerance :data:`RETENTION_ABS_TOL`) and headline
+**quantiles** of every distribution digest (relative tolerance
+:data:`QUANTILE_REL_TOL`).  Data drift always fails the verdict —
+unlike counter drift, a shifted drop rate or error distribution on a
+fixed seed means the *input data* changed, which is exactly the silent
+failure this gate exists to catch.
 
 Reports carrying a ``repro.resource-profile/v1`` section (see
 :mod:`repro.obs.resources`) are additionally compared as *resource
-consumers*: peak RSS may not grow past ``max_rss_ratio`` and
+consumers*: peak RSS may not grow past :data:`MAX_RSS_RATIO` and
 ``cpu_util`` may not move by more than ``cpu_util_abs_tol``, judged on
 the profile totals and on every stage present in both runs.  Resource
-drift fails the verdict by default (``fail_on_resource_drift``) — a
-memory regression is exactly what the future out-of-core work needs
-this gate to catch — and is only judged when *both* reports carry a
-profile, so old baselines stay comparable.
+drift always fails the verdict — a memory regression is exactly what
+the out-of-core work needs this gate to catch — and is only judged
+when *both* reports carry a profile.
 """
 
 from __future__ import annotations
@@ -48,10 +47,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from .prof import FLAME_GAUGE_PREFIX
-from .quality import QUALITY_GAUGE_PREFIX
 from .report import RunReport, _walk_span_dicts
-from .resources import RESOURCE_GAUGE_PREFIX
 
 #: Schema identifier embedded in every serialised diff.
 DIFF_SCHEMA = "repro.report-diff/v1"
@@ -65,32 +61,28 @@ STATUS_ADDED = "added"  # only in the new report
 STATUS_REMOVED = "removed"  # only in the old report
 
 
+#: Relative counter change above which drift is reported.
+COUNTER_REL_TOL = 0.0
+#: Relative gauge change above which drift is reported.
+GAUGE_REL_TOL = 0.25
+#: Absolute funnel-retention change above which a stage drifts.
+RETENTION_ABS_TOL = 0.05
+#: Relative headline-quantile change above which a digest drifts.
+QUANTILE_REL_TOL = 0.25
+#: New/old peak-RSS ratio above which a profiled run drifts.
+MAX_RSS_RATIO = 1.5
+
+
 @dataclass(frozen=True)
 class DiffThresholds:
-    """Tolerances for :func:`diff_reports` (all relative, unitless)."""
+    """The limits a baseline's ``thresholds.json`` may set."""
 
     #: new/old wall-time ratio above which a span counts as slower.
     max_ratio: float = 1.5
     #: spans under this total in *both* runs are never judged.
     noise_floor_s: float = 0.005
-    #: relative counter change above which drift is reported.
-    counter_rel_tol: float = 0.0
-    #: relative gauge change above which drift is reported.
-    gauge_rel_tol: float = 0.25
-    #: when set, counter/gauge drift also fails the verdict.
-    fail_on_drift: bool = False
-    #: absolute funnel-retention change above which a stage drifts.
-    retention_abs_tol: float = 0.05
-    #: relative headline-quantile change above which a digest drifts.
-    quantile_rel_tol: float = 0.25
-    #: data drift (funnel/quantile) fails the verdict — the data gate.
-    fail_on_data_drift: bool = True
-    #: new/old peak-RSS ratio above which a profiled run drifts.
-    max_rss_ratio: float = 1.5
     #: absolute cpu_util change above which a profiled run drifts.
     cpu_util_abs_tol: float = 0.25
-    #: resource drift (RSS/cpu_util) fails the verdict — the memory gate.
-    fail_on_resource_drift: bool = True
 
 
 @dataclass
@@ -270,13 +262,9 @@ class ReportDiff:
 
     @property
     def verdict(self) -> str:
-        if self.regressions:
-            return "regression"
-        if self.thresholds.fail_on_data_drift and self.data_drifts:
-            return "regression"
-        if self.thresholds.fail_on_resource_drift and self.resource_drifts:
-            return "regression"
-        if self.thresholds.fail_on_drift and self.drifts:
+        """Slower spans, data drift and resource drift fail; counter
+        and gauge drift is reported only."""
+        if self.regressions or self.data_drifts or self.resource_drifts:
             return "regression"
         return "ok"
 
@@ -289,16 +277,15 @@ class ReportDiff:
             "thresholds": {
                 "max_ratio": self.thresholds.max_ratio,
                 "noise_floor_s": self.thresholds.noise_floor_s,
-                "counter_rel_tol": self.thresholds.counter_rel_tol,
-                "gauge_rel_tol": self.thresholds.gauge_rel_tol,
-                "fail_on_drift": self.thresholds.fail_on_drift,
-                "retention_abs_tol": self.thresholds.retention_abs_tol,
-                "quantile_rel_tol": self.thresholds.quantile_rel_tol,
-                "fail_on_data_drift": self.thresholds.fail_on_data_drift,
-                "max_rss_ratio": self.thresholds.max_rss_ratio,
+                "counter_rel_tol": COUNTER_REL_TOL,
+                "gauge_rel_tol": GAUGE_REL_TOL,
+                "fail_on_drift": False,
+                "retention_abs_tol": RETENTION_ABS_TOL,
+                "quantile_rel_tol": QUANTILE_REL_TOL,
+                "fail_on_data_drift": True,
+                "max_rss_ratio": MAX_RSS_RATIO,
                 "cpu_util_abs_tol": self.thresholds.cpu_util_abs_tol,
-                "fail_on_resource_drift":
-                    self.thresholds.fail_on_resource_drift,
+                "fail_on_resource_drift": True,
             },
             "regressions": [d.path for d in self.regressions],
             "spans": [d.to_dict() for d in self.spans],
@@ -351,7 +338,7 @@ class ReportDiff:
             lines.append("")
             lines.append(
                 "funnel retention drift (|delta| over "
-                f"{self.thresholds.retention_abs_tol:g}):"
+                f"{RETENTION_ABS_TOL:g}):"
             )
             for rd in self.retention_drifts:
                 delta = rd.delta
@@ -365,7 +352,7 @@ class ReportDiff:
             lines.append("")
             lines.append(
                 "distribution quantile drift (relative change over "
-                f"{self.thresholds.quantile_rel_tol:g}):"
+                f"{QUANTILE_REL_TOL:g}):"
             )
             for qd in self.quantile_drifts:
                 rel = qd.rel_change
@@ -379,7 +366,7 @@ class ReportDiff:
             lines.append("")
             lines.append(
                 "resource drift (rss over "
-                f"{self.thresholds.max_rss_ratio:g}x or |cpu_util| over "
+                f"{MAX_RSS_RATIO:g}x or |cpu_util| over "
                 f"{self.thresholds.cpu_util_abs_tol:g}):"
             )
             for rd in self.resource_drifts:
@@ -498,37 +485,16 @@ def diff_reports(
                       status)
         )
     drifts = _metric_drift("counter", old.counters, new.counters,
-                           limits.counter_rel_tol)
-    # quality.* gauges are digest-derived and resources.* gauges are
-    # profile-derived; the quantile- and resource-drift comparisons
-    # below judge them with their own tolerances, so both families are
-    # excluded here rather than double-reported as plain gauge drift.
-    drifts += _metric_drift(
-        "gauge",
-        _without_owned_gauges(old.gauges),
-        _without_owned_gauges(new.gauges),
-        limits.gauge_rel_tol,
-    )
+                           COUNTER_REL_TOL)
+    drifts += _metric_drift("gauge", old.gauges, new.gauges, GAUGE_REL_TOL)
     return ReportDiff(
         thresholds=limits,
         spans=deltas,
         drifts=drifts,
-        retention_drifts=_retention_drift(old, new, limits),
-        quantile_drifts=_quantile_drift(old, new, limits),
+        retention_drifts=_retention_drift(old, new),
+        quantile_drifts=_quantile_drift(old, new),
         resource_drifts=_resource_drift(old, new, limits),
     )
-
-
-_OWNED_GAUGE_PREFIXES = (
-    QUALITY_GAUGE_PREFIX, RESOURCE_GAUGE_PREFIX, FLAME_GAUGE_PREFIX,
-)
-
-
-def _without_owned_gauges(gauges: Dict[str, float]) -> Dict[str, float]:
-    return {
-        name: value for name, value in gauges.items()
-        if not name.startswith(_OWNED_GAUGE_PREFIXES)
-    }
 
 
 def _resource_drift(
@@ -557,7 +523,7 @@ def _resource_drift(
             isinstance(old_rss, (int, float))
             and isinstance(new_rss, (int, float))
             and old_rss > 0
-            and new_rss / old_rss > limits.max_rss_ratio
+            and new_rss / old_rss > MAX_RSS_RATIO
         ):
             drifts.append(
                 ResourceDrift("rss_peak_kib", scope,
@@ -587,11 +553,7 @@ def _resource_drift(
     return drifts
 
 
-def _retention_drift(
-    old: RunReport,
-    new: RunReport,
-    limits: DiffThresholds,
-) -> List[RetentionDrift]:
+def _retention_drift(old: RunReport, new: RunReport) -> List[RetentionDrift]:
     """Per-stage funnel retention comparison (absolute tolerance).
 
     A stage present in only one report is reported (its missing side is
@@ -620,7 +582,7 @@ def _retention_drift(
             int(new_stage["records_out"]) if new_stage is not None else None
         )
         if old_ret is not None and new_ret is not None:
-            if abs(new_ret - old_ret) <= limits.retention_abs_tol:
+            if abs(new_ret - old_ret) <= RETENTION_ABS_TOL:
                 continue
         drifts.append(
             RetentionDrift(name, unit, old_ret, new_ret, old_out, new_out)
@@ -628,11 +590,7 @@ def _retention_drift(
     return drifts
 
 
-def _quantile_drift(
-    old: RunReport,
-    new: RunReport,
-    limits: DiffThresholds,
-) -> List[QuantileDrift]:
+def _quantile_drift(old: RunReport, new: RunReport) -> List[QuantileDrift]:
     """Headline-quantile comparison of every distribution digest.
 
     Like :func:`_metric_drift`, a quantile moving off an exact zero is
@@ -658,7 +616,7 @@ def _quantile_drift(
                 drifts.append(QuantileDrift(name, label, old_value, new_value))
                 continue
             rel = abs(new_value - old_value) / abs(old_value)
-            if rel > limits.quantile_rel_tol:
+            if rel > QUANTILE_REL_TOL:
                 drifts.append(QuantileDrift(name, label, old_value, new_value))
     return drifts
 

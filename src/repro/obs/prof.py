@@ -17,7 +17,7 @@ Exec workers read their own stacks and ship their tables home;
 and stage attribution preserved, so a ``--workers N`` run yields one
 unified flamegraph.  This module imports only
 :mod:`repro.obs.sampler` (for the shared ``(top)`` stage label; the
-registry imports *us* for :func:`flame_gauges`/:func:`merge_flame`).
+registry imports *us* for :func:`merge_flame`).
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ FLAME_SCHEMA = "repro.flame/v1"
 #: Schema identifier of a serialised hot-frame diff (``stats check``).
 FLAME_DIFF_SCHEMA = "repro.flame-diff/v1"
 
-#: Gauge-name prefix for the headline numbers folded into snapshots.
-FLAME_GAUGE_PREFIX = "prof."
-
-#: The headline gauges derived from a profile, in sorted order.
-#: tests/analysis/test_rules_taxonomy.py locks this tuple to the gauge
-#: table in docs/OBSERVABILITY.md, so the two cannot drift apart.
-FLAME_GAUGES = (
-    "dropped",
-    "hz",
-    "samples",
-)
-
 #: Sampling cadence of ``--obs-dir`` runs and bare ``stats``.  A prime
 #: rate so the reader never locks step with the 10 Hz resource reader
 #: or any periodic stage work (the classic aliasing trap of fixed-rate
@@ -61,12 +49,12 @@ DEFAULT_MAX_STACKS = 10_000
 #: Frames kept per sample (leaf-most survive when a stack is deeper).
 DEFAULT_MAX_DEPTH = 128
 
-#: Default hot-frame gate: absolute self-share growth that counts as a
+#: Hot-frame gate: absolute self-share growth that counts as a
 #: regression.
 DEFAULT_SHARE_TOLERANCE = 0.10
 
-#: Default hot-frame noise floor: frames under this self-share in both
-#: runs are never judged.
+#: Hot-frame noise floor: frames under this self-share in both runs are
+#: never judged.
 DEFAULT_MIN_SHARE = 0.05
 
 #: A frame's share shift is judged only when it exceeds this many
@@ -323,28 +311,6 @@ def merge_flame(
     }
 
 
-# -- derived gauges ---------------------------------------------------
-
-
-def flame_gauges(profile: Dict[str, Any]) -> Dict[str, float]:
-    """The headline ``prof.*`` gauges derived from a profile.
-
-    One gauge per :data:`FLAME_GAUGES` entry: total samples taken,
-    samples dropped (table full / unreadable stack) and the sampling
-    rate.
-    """
-    gauges: Dict[str, float] = {}
-    for name, key in (
-        ("dropped", "dropped_samples"),
-        ("hz", "hz"),
-        ("samples", "sample_count"),
-    ):
-        value = profile.get(key)
-        if isinstance(value, (int, float)):
-            gauges[FLAME_GAUGE_PREFIX + name] = float(value)
-    return gauges
-
-
 # -- analysis ---------------------------------------------------------
 
 
@@ -484,8 +450,6 @@ class FlameDiff:
 
     regressions: List[FrameShift]
     improvements: List[FrameShift]
-    share_tolerance: float
-    min_share: float
 
     @property
     def verdict(self) -> str:
@@ -495,8 +459,8 @@ class FlameDiff:
         return {
             "schema": FLAME_DIFF_SCHEMA,
             "verdict": self.verdict,
-            "share_tolerance": self.share_tolerance,
-            "min_share": self.min_share,
+            "share_tolerance": DEFAULT_SHARE_TOLERANCE,
+            "min_share": DEFAULT_MIN_SHARE,
             "regressions": [shift.to_dict() for shift in self.regressions],
             "improvements": [shift.to_dict() for shift in self.improvements],
         }
@@ -536,24 +500,20 @@ def _share_shift_error(
     return variance ** 0.5
 
 
-def diff_flame(
-    old: Dict[str, Any],
-    new: Dict[str, Any],
-    *,
-    share_tolerance: float = DEFAULT_SHARE_TOLERANCE,
-    min_share: float = DEFAULT_MIN_SHARE,
-) -> FlameDiff:
+def diff_flame(old: Dict[str, Any], new: Dict[str, Any]) -> FlameDiff:
     """Compare per-stage frame self-time shares with a noise floor.
 
     The frame-level sibling of :func:`repro.obs.diff.diff_reports`:
     for every stage sampled in both profiles, a frame whose self-time
-    share of the stage grew by more than ``share_tolerance`` (absolute)
-    *and* by more than :data:`SHARE_ERROR_Z` standard errors of the
-    shift (from the two stages' sample counts) is a regression; a fall
-    past both is an improvement.  So a stage of a few samples, whose
-    shares jump by whole samples, cannot trip the gate.  Frames under
-    ``min_share`` in *both* runs are never judged, and stages present
-    in only one profile are skipped (there is nothing to compare).
+    share of the stage grew by more than
+    :data:`DEFAULT_SHARE_TOLERANCE` (absolute) *and* by more than
+    :data:`SHARE_ERROR_Z` standard errors of the shift (from the two
+    stages' sample counts) is a regression; a fall past both is an
+    improvement.  So a stage of a few samples, whose shares jump by
+    whole samples, cannot trip the gate.  Frames under
+    :data:`DEFAULT_MIN_SHARE` in *both* runs are never judged, and
+    stages present in only one profile are skipped (there is nothing
+    to compare).
     """
     old_shares = stage_self_shares(old)
     new_shares = stage_self_shares(new)
@@ -567,27 +527,26 @@ def diff_flame(
         for frame in sorted(set(old_stage) | set(new_stage)):
             old_share = old_stage.get(frame, 0.0)
             new_share = new_stage.get(frame, 0.0)
-            if max(old_share, new_share) <= min_share:
+            if max(old_share, new_share) <= DEFAULT_MIN_SHARE:
                 continue  # the noise floor
             shift = FrameShift(
                 stage=stage, frame=frame,
                 old_share=old_share, new_share=new_share,
             )
-            bound = max(share_tolerance, SHARE_ERROR_Z * _share_shift_error(
-                old_share, old_samples[stage], new_share, new_samples[stage]
-            ))
+            bound = max(
+                DEFAULT_SHARE_TOLERANCE,
+                SHARE_ERROR_Z * _share_shift_error(
+                    old_share, old_samples[stage],
+                    new_share, new_samples[stage],
+                ),
+            )
             if shift.delta > bound:
                 regressions.append(shift)
             elif shift.delta < -bound:
                 improvements.append(shift)
     regressions.sort(key=lambda s: (-s.delta, s.stage, s.frame))
     improvements.sort(key=lambda s: (s.delta, s.stage, s.frame))
-    return FlameDiff(
-        regressions=regressions,
-        improvements=improvements,
-        share_tolerance=share_tolerance,
-        min_share=min_share,
-    )
+    return FlameDiff(regressions=regressions, improvements=improvements)
 
 
 # -- validation -------------------------------------------------------

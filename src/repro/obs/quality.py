@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
-#: Gauge-name prefix under which digests surface in run reports.
-QUALITY_GAUGE_PREFIX = "quality."
-
-#: The headline quantiles exported as ``quality.<name>.p<q>`` gauges.
+#: The headline quantiles every serialised digest carries (the ones
+#: the drift gate compares and ``stats`` prints).
 HEADLINE_QUANTILES = (0.5, 0.9, 0.99)
 
 #: Default centroid budget (fixed size regardless of stream length).
@@ -199,21 +197,6 @@ class QuantileDigest:
         digest = cls(max_centroids=max_centroids)
         digest.merge_dict(data)
         return digest
-
-    def gauges(self, name: str) -> Dict[str, float]:
-        """The digest's headline ``quality.*`` gauges."""
-        if self.count == 0:
-            return {}
-        prefix = f"{QUALITY_GAUGE_PREFIX}{name}"
-        values = {
-            f"{prefix}.count": float(self.count),
-            f"{prefix}.mean": self.mean,
-            f"{prefix}.min": self.min,
-            f"{prefix}.max": self.max,
-        }
-        for q in HEADLINE_QUANTILES:
-            values[f"{prefix}.{_quantile_label(q)}"] = self.quantile(q)
-        return values
 
     # -- internals ----------------------------------------------------
 

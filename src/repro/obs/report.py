@@ -212,6 +212,23 @@ class RunReport:
             lines.append("")
             lines.append("data funnel:")
             lines.append(render_funnel(self.funnel(), indent="  "))
+        digests = self.quality_digests()
+        if digests:
+            lines.append("")
+            lines.append("distributions:")
+            lines.append(
+                f"  {'digest':<36}{'count':>9}{'p50':>12}{'p90':>12}"
+                f"{'p99':>12}"
+            )
+            for name, digest in sorted(digests.items()):
+                quantiles = digest.get("quantiles", {})
+                lines.append(
+                    f"  {name:<36}{_fmt_number(digest.get('count', 0)):>9}"
+                    + "".join(
+                        f"{_fmt_number(quantiles.get(label, 0.0)):>12}"
+                        for label in ("p50", "p90", "p99")
+                    )
+                )
         if self.resource_profile:
             lines.append("")
             lines.append("resource profile:")

@@ -18,7 +18,7 @@ Exec workers read with ``keep_samples=False`` and ship only the
 rollups home, where :func:`fold_resources` lists them per worker
 process under the host profile's ``workers``.  This module imports
 nothing from the rest of ``repro.obs`` (the registry imports *us* for
-:func:`profile_gauges` and :func:`fold_resources`).
+:func:`fold_resources`).
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ RESOURCE_PROFILE_SCHEMA = "repro.resource-profile/v1"
 
 #: Schema identifier of a committed resource-budget file (the CI gate).
 RESOURCE_BUDGET_SCHEMA = "repro.resource-budget/v1"
-
-#: Gauge-name prefix for the headline rollups folded into snapshots.
-RESOURCE_GAUGE_PREFIX = "resources."
-
-#: The headline gauges derived from a profile's totals, in sorted order.
-#: tests/analysis/test_rules_taxonomy.py locks this tuple to the gauge
-#: table in docs/OBSERVABILITY.md, so the two cannot drift apart.
-ROLLUP_GAUGES = (
-    "cpu_s",
-    "cpu_util",
-    "heap_peak_kib",
-    "rss_mean_kib",
-    "rss_peak_kib",
-    "samples",
-)
 
 #: Sampling cadence of ``--obs-dir`` runs and bare ``stats``.
 DEFAULT_HZ = 10.0
@@ -378,27 +363,6 @@ def _merge_rollups(
     return merged
 
 
-# -- derived gauges ---------------------------------------------------
-
-
-def profile_gauges(profile: Dict[str, Any]) -> Dict[str, float]:
-    """The headline ``resources.*`` gauges derived from a profile.
-
-    One gauge per :data:`ROLLUP_GAUGES` entry that the totals carry
-    (``heap_peak_kib`` is absent unless tracemalloc was active).
-    """
-    totals = profile.get("totals") or {}
-    gauges: Dict[str, float] = {}
-    for name in ROLLUP_GAUGES:
-        if name == "samples":
-            value: Any = profile.get("sample_count")
-        else:
-            value = totals.get(name)
-        if isinstance(value, (int, float)):
-            gauges[RESOURCE_GAUGE_PREFIX + name] = float(value)
-    return gauges
-
-
 # -- validation -------------------------------------------------------
 
 
@@ -579,6 +543,7 @@ def render_profile(profile: Dict[str, Any], indent: str = "") -> str:
     if totals:
         tail = (
             f"totals: rss peak {_fmt_mib(totals.get('rss_peak_kib'))}"
+            f"  rss mean {_fmt_mib(totals.get('rss_mean_kib'))}"
             f"  cpu {totals.get('cpu_s', 0.0):.2f}s"
             f"  util {totals.get('cpu_util', 0.0):.2f}"
         )

@@ -45,18 +45,9 @@ from typing import (
 
 from . import events as _events
 from .lineage import FunnelStage, ReasonLike
-from .prof import flame_gauges, merge_flame
+from .prof import merge_flame
 from .quality import QuantileDigest
-from .resources import fold_resources, profile_gauges
-
-#: The snapshot sections this registry version owns.  Anything else in
-#: a merged worker snapshot is an unknown (newer-version) section and
-#: is preserved verbatim rather than dropped — forward compatibility
-#: for mixed-version worker pools.
-_SNAPSHOT_SECTIONS = frozenset(
-    ["spans", "counters", "gauges", "funnel", "quality",
-     "resource_profile", "flame_profile"]
-)
+from .resources import fold_resources
 
 
 class SpanNode:
@@ -157,8 +148,6 @@ class Telemetry:
         #: ``repro.flame/v1`` document folded in the same two ways (None
         #: when the run's stacks were not sampled).
         self.flame_profile: Optional[Dict[str, Any]] = None
-        # Unknown snapshot sections preserved from merged workers.
-        self._extra_sections: Dict[str, Any] = {}
 
     @property
     def current_span_name(self) -> str:
@@ -237,20 +226,16 @@ class Telemetry:
         return nodes[:n]
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready dump of spans, counters, gauges, funnel, quality.
+        """JSON-ready dump of spans, counters, gauges, funnel, quality
+        and, when present, the two profiles.
 
         Funnel stages are conservation-checked here (``to_dict``
-        raises on imbalance), and every digest's headline quantiles are
-        folded into the gauges as ``quality.*`` — derived values that
-        overwrite any stale copies merged in from worker snapshots.
+        raises on imbalance).
         """
-        gauges = dict(self.gauges)
-        for name, digest in self.quality.items():
-            gauges.update(digest.gauges(name))
         snapshot: Dict[str, Any] = {
             "spans": [child.to_dict() for child in self.root.children.values()],
             "counters": dict(self.counters),
-            "gauges": gauges,
+            "gauges": dict(self.gauges),
             "funnel": [stage.to_dict() for stage in self.funnel.values()],
             "quality": {
                 name: digest.to_dict()
@@ -259,12 +244,8 @@ class Telemetry:
         }
         if self.resource_profile is not None:
             snapshot["resource_profile"] = self.resource_profile
-            gauges.update(profile_gauges(self.resource_profile))
         if self.flame_profile is not None:
             snapshot["flame_profile"] = self.flame_profile
-            gauges.update(flame_gauges(self.flame_profile))
-        for key, value in self._extra_sections.items():
-            snapshot.setdefault(key, value)
         return snapshot
 
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
@@ -322,24 +303,6 @@ class Telemetry:
         flame = snapshot.get("flame_profile")
         if isinstance(flame, dict) and flame:
             self.flame_profile = merge_flame(self.flame_profile, flame)
-        # Forward compatibility: a worker built by a newer version may
-        # ship sections this registry does not know.  Preserve them
-        # (dicts update, lists extend, anything else last-write-wins)
-        # so re-serialising the merged snapshot never drops data.
-        for key, value in snapshot.items():
-            if key in _SNAPSHOT_SECTIONS:
-                continue
-            existing = self._extra_sections.get(key)
-            if isinstance(existing, dict) and isinstance(value, dict):
-                existing.update(value)
-            elif isinstance(existing, list) and isinstance(value, list):
-                existing.extend(value)
-            elif isinstance(value, dict):
-                self._extra_sections[key] = dict(value)
-            elif isinstance(value, list):
-                self._extra_sections[key] = list(value)
-            else:
-                self._extra_sections[key] = value
 
 
 def _merge_span_dict(parent: SpanNode, data: Dict[str, Any]) -> None:

@@ -148,51 +148,3 @@ def test_taxonomy_matches_documentation():
         "TAXONOMY_PREFIXES together"
     )
     assert TAXONOMY_PREFIXES == tuple(sorted(TAXONOMY_PREFIXES))
-
-
-def _doc_resource_gauge_names():
-    """Rollup names from the gauge table's `resources.{...}` row."""
-    text = OBSERVABILITY_DOC.read_text()
-    match = re.search(r"`resources\.\{([a-z_,]+)\}`", text)
-    assert match, (
-        "docs/OBSERVABILITY.md lost its resources.{...} gauge-table row"
-    )
-    return set(match.group(1).split(","))
-
-
-def test_resource_gauges_match_documentation():
-    # Same lock-step discipline as the span taxonomy: the headline
-    # resources.* gauges the sampler derives and the gauge table in
-    # docs/OBSERVABILITY.md must never drift apart.
-    from repro.obs.resources import ROLLUP_GAUGES
-
-    documented = _doc_resource_gauge_names()
-    assert documented == set(ROLLUP_GAUGES), (
-        f"sampler gauges {sorted(ROLLUP_GAUGES)} != documented "
-        f"{sorted(documented)}; update docs/OBSERVABILITY.md and "
-        "ROLLUP_GAUGES together"
-    )
-    assert ROLLUP_GAUGES == tuple(sorted(ROLLUP_GAUGES))
-
-
-def _doc_flame_gauge_names():
-    """Gauge names from the gauge table's `prof.{...}` row."""
-    text = OBSERVABILITY_DOC.read_text()
-    match = re.search(r"`prof\.\{([a-z_,]+)\}`", text)
-    assert match, (
-        "docs/OBSERVABILITY.md lost its prof.{...} gauge-table row"
-    )
-    return set(match.group(1).split(","))
-
-
-def test_flame_gauges_match_documentation():
-    # And once more for the stack profiler's headline prof.* gauges.
-    from repro.obs.prof import FLAME_GAUGES
-
-    documented = _doc_flame_gauge_names()
-    assert documented == set(FLAME_GAUGES), (
-        f"profiler gauges {sorted(FLAME_GAUGES)} != documented "
-        f"{sorted(documented)}; update docs/OBSERVABILITY.md and "
-        "FLAME_GAUGES together"
-    )
-    assert FLAME_GAUGES == tuple(sorted(FLAME_GAUGES))

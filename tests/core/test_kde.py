@@ -1,13 +1,29 @@
 """Tests for repro.core.kde — the estimator at the heart of the paper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kde import compute_kde, kde_at_points
+import repro
+from repro.core.kde import (
+    KERNEL_TRUNCATION_SIGMAS,
+    _convolve_same,
+    compute_kde,
+    kde_at_points,
+)
+from repro.core.peaks import find_peaks
 from repro.geo.coords import offset_km
 from repro.geo.projection import LocalProjection
+
+#: Declared relative floor: no returned peak of a footprint lies below
+#: this fraction of the grid's maximum density.
+PEAK_FLOOR = 1e-9
 
 
 def cluster(rng, lat, lon, sigma_km, n):
@@ -240,3 +256,73 @@ class TestKdeAtPoints:
         with pytest.raises(ValueError):
             kde_at_points(np.array([0.0]), np.array([0.0]), 0.0,
                           np.array([0.0]), np.array([0.0]))
+
+
+class TestFftSupport:
+    """The FFT path is exactly 0 where its truncated kernel cannot reach."""
+
+    def test_density_is_exactly_zero_beyond_the_kernel_reach(self):
+        # Two samples 600 km apart at a 10 km bandwidth: every cell more
+        # than 5 h from both gets no kernel mass at all.
+        lats, lons = offset_km(
+            np.full(2, 45.0), np.full(2, 9.0),
+            np.array([0.0, 600.0]), np.zeros(2),
+        )
+        grid = compute_kde(lats, lons, 10.0, method="fft")
+        x, _ = grid.projection.forward(lats, lons)
+        centres = grid.x_min + (np.arange(grid.values.shape[1]) + 0.5) * (
+            grid.cell_km
+        )
+        reach = KERNEL_TRUNCATION_SIGMAS * 10.0 + 2 * grid.cell_km
+        far = np.min(np.abs(centres[:, None] - np.asarray(x)[None, :]),
+                     axis=1) > reach
+        assert far.any()
+        assert np.all(grid.values[:, far] == 0.0)
+        assert len(find_peaks(grid)) == 2
+
+    @pytest.mark.parametrize("bandwidth_km", [10.0, 40.0])
+    def test_no_peak_below_the_relative_floor(
+        self, small_scenario, bandwidth_km
+    ):
+        for asn in small_scenario.eyeball_target_asns():
+            footprint = small_scenario.geo_footprint(asn, bandwidth_km)
+            floor = PEAK_FLOOR * footprint.max_density
+            assert all(p.density > floor for p in footprint.peaks), asn
+
+    def test_fft_peak_count_equals_direct_at_40km(self, small_scenario):
+        # The direct estimate is the oracle.  At 40 km every small-preset
+        # AS has the same raw peak count on both paths; at 10 km binning
+        # can split or merge a shallow peak, so the test is pinned to 40.
+        asns = small_scenario.eyeball_target_asns()
+        assert asns
+        for asn in asns:
+            fft = small_scenario.geo_footprint(asn, 40.0)
+            direct = small_scenario.geo_footprint(asn, 40.0, method="direct")
+            assert len(fft.peaks) == len(direct.peaks), asn
+
+
+class TestConvolution:
+    @pytest.mark.parametrize(
+        "shape, radius", [((40, 40), 20), ((73, 128), 5), ((9, 300), 4),
+                          ((200, 31), 15), ((2, 2), 1)],
+    )
+    def test_bitwise_equal_to_fftconvolve(self, rng, shape, radius):
+        from scipy.signal import fftconvolve
+
+        image = rng.random(shape) * (rng.random(shape) < 0.2)
+        kernel = rng.random((2 * radius + 1, 2 * radius + 1))
+        expected = fftconvolve(image, kernel, mode="same")
+        got = _convolve_same(image, kernel)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_cli_import_does_not_load_scipy_signal(self):
+        # A fresh interpreter, with this checkout's package on its path.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, repro.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        ).stdout
+        assert out.strip() == "False"

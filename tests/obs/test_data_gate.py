@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.diff import DiffThresholds, diff_reports
+from repro.obs.diff import diff_reports
 from repro.obs.lineage import FunnelStage
 from repro.obs.report import DATA_QUALITY_SCHEMA, RunReport
 
@@ -79,15 +79,6 @@ class TestRetentionDrift:
         assert diff.retention_drifts == []
         assert diff.verdict == "ok"
 
-    def test_fail_on_data_drift_can_be_disabled(self):
-        old = _report(funnel=[_stage("s", 100, 95, "geo_error")])
-        new = _report(funnel=[_stage("s", 100, 80, "geo_error")])
-        diff = diff_reports(
-            old, new, DiffThresholds(fail_on_data_drift=False)
-        )
-        assert diff.data_verdict == "data-drift"
-        assert diff.verdict == "ok"  # reported, not fatal
-
     def test_stage_present_in_only_one_report_drifts(self):
         old = _report(funnel=[])
         new = _report(funnel=[_stage("crawl.run", 10, 10, unit="users")])
@@ -117,17 +108,6 @@ class TestQuantileDrift:
         old = _report(quality={"geo_error_km": _digest(10.0, 40.0, 80.0)})
         new = _report(quality={"geo_error_km": _digest(11.0, 44.0, 88.0)})
         assert diff_reports(old, new).quantile_drifts == []
-
-    def test_quality_gauges_not_double_reported(self):
-        # quality.* gauges are judged by the quantile comparison, not
-        # the generic gauge-drift pass.
-        old = _report(quality={"x": _digest(10.0, 40.0, 80.0)})
-        new = _report(quality={"x": _digest(10.0, 60.0, 80.0)})
-        old.gauges = {"quality.x.p90": 40.0}
-        new.gauges = {"quality.x.p90": 60.0}
-        diff = diff_reports(old, new)
-        assert diff.drifts == []
-        assert len(diff.quantile_drifts) == 1
 
     def test_serialised_diff_carries_data_sections(self):
         old = _report(funnel=[_stage("s", 100, 80, "geo_error")],
@@ -176,9 +156,20 @@ class TestInstrumentedRunEndToEnd:
                      "classification_containment"):
             assert name in digests, name
             assert digests[name]["count"] > 0
-        assert report.gauges["quality.as_peer_count.count"] == (
-            float(digests["as_peer_count"]["count"])
-        )
+        # Each fact has one place: digests and profiles are never
+        # mirrored into gauges.
+        assert not [
+            name for name in report.gauges
+            if name.startswith(("quality.", "resources.", "prof."))
+        ]
+        summary = report.render_summary()
+        for name, digest in digests.items():
+            row = next(
+                line.split() for line in summary.splitlines()
+                if line.split()[:1] == [name]
+            )
+            assert row[1] == str(digest["count"]), row
+            assert len(row) == 5, row  # count, p50, p90, p99
 
     def test_stats_funnel_renders_waterfall(self, report_path, capsys):
         assert main(["stats", "funnel", str(report_path)]) == 0
@@ -229,27 +220,6 @@ class TestInstrumentedRunEndToEnd:
         assert "diff        failed" in captured.out
         assert "funnel retention drift" in captured.err
         assert "pipeline.filter_geo_error" in captured.err
-
-    def test_stats_diff_data_gate_can_be_waived(
-        self, run_bundle, bundle_copy, capsys
-    ):
-        def perturb(data):
-            stage = data["data_quality"]["funnel"][0]
-            shift = stage["records_out"] // 2
-            stage["records_out"] -= shift
-            reason = next(iter(stage["drops"]))
-            stage["drops"][reason] += shift
-            stage["retention"] = stage["records_out"] / stage["records_in"]
-
-        perturbed = bundle_copy("perturbed", perturb)
-        base = bundle_copy("base")
-        (base / "thresholds.json").write_text(
-            '{"diff": {"fail_on_data_drift": false}}'
-        )
-        assert main([
-            "stats", "check", str(perturbed), "--baseline", str(base)
-        ]) == 0
-        capsys.readouterr()
 
     def test_stats_diff_identical_reports_pass_data_gate(
         self, run_bundle, capsys

@@ -123,22 +123,16 @@ class TestDrift:
         assert drift.name == "crawl.peers_sampled"
         assert drift.rel_change == pytest.approx(0.2)
 
-    def test_fail_on_drift_escalates(self):
-        old = _report(counters={"c": 1})
-        new = _report(counters={"c": 2})
-        diff = diff_reports(old, new, DiffThresholds(fail_on_drift=True))
-        assert diff.verdict == "regression"
-
     def test_gauge_tolerance_absorbs_small_changes(self):
         old = _report(gauges={"memory.peak_kib.crawl.run": 1000.0})
         new = _report(gauges={"memory.peak_kib.crawl.run": 1100.0})
-        assert diff_reports(old, new).drifts == []  # within default 25%
-        tight = diff_reports(
-            old, new, DiffThresholds(gauge_rel_tol=0.05)
-        )
-        assert [d.name for d in tight.drifts] == [
+        assert diff_reports(old, new).drifts == []  # within GAUGE_REL_TOL
+        grown = _report(gauges={"memory.peak_kib.crawl.run": 1300.0})
+        drifted = diff_reports(old, grown)
+        assert [d.name for d in drifted.drifts] == [
             "memory.peak_kib.crawl.run"
         ]
+        assert drifted.verdict == "ok"  # gauge drift is report-only
 
     def test_appearing_metric_is_drift(self):
         old = _report()
@@ -279,22 +273,13 @@ class TestResourceDrift:
         assert result.verdict == "regression"
 
     def test_custom_thresholds(self):
-        limits = DiffThresholds(max_rss_ratio=3.0, cpu_util_abs_tol=0.8)
+        limits = DiffThresholds(cpu_util_abs_tol=0.8)
         result = diff_reports(
             _profiled_report(rss=1000.0, util=0.3),
-            _profiled_report(rss=2500.0, util=0.9),
+            _profiled_report(rss=1400.0, util=0.9),
             limits,
         )
         assert result.resource_drifts == []
-
-    def test_fail_on_resource_drift_off_reports_without_failing(self):
-        limits = DiffThresholds(fail_on_resource_drift=False)
-        result = diff_reports(
-            _profiled_report(rss=1000.0), _profiled_report(rss=9000.0)
-        , limits)
-        assert result.resource_drifts
-        assert result.resource_verdict == "resource-drift"
-        assert result.verdict == "ok"
 
     def test_shared_stages_judged_individually(self):
         old = _profiled_report(stages={
@@ -315,17 +300,6 @@ class TestResourceDrift:
         result = diff_reports(_report(), _profiled_report(rss=1e9))
         assert result.resource_drifts == []
         assert result.verdict == "ok"
-
-    def test_resource_gauges_excluded_from_generic_gauge_drift(self):
-        # resources.* gauges are owned by the resource comparison (like
-        # quality.*); a doubled peak must surface once, as resource
-        # drift, not twice.
-        old, new = _profiled_report(rss=1000.0), _profiled_report(rss=2000.0)
-        old.gauges["resources.rss_peak_kib"] = 1000.0
-        new.gauges["resources.rss_peak_kib"] = 2000.0
-        result = diff_reports(old, new)
-        assert [d.name for d in result.drifts] == []
-        assert result.resource_drifts
 
     def test_serialisation_carries_resource_sections(self):
         result = diff_reports(

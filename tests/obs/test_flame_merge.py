@@ -69,15 +69,9 @@ class TestMergeSnapshot:
         }
         assert merged["sample_count"] == 14
 
-    def test_snapshot_ships_the_table_and_gauges_home(self):
-        snapshot = worker_snapshot({"kde.evaluate": [("eval_grid", 5)]})
-        assert snapshot["flame_profile"]["schema"] == FLAME_SCHEMA
-        assert snapshot["gauges"]["prof.samples"] == 5.0
-
     def test_snapshot_without_profile_has_no_section(self):
         snapshot = Telemetry().snapshot()
         assert "flame_profile" not in snapshot
-        assert not any(k.startswith("prof.") for k in snapshot["gauges"])
 
     def test_merge_without_flame_section_is_a_no_op(self):
         parent = Telemetry()

@@ -128,52 +128,6 @@ class TestRegistryPlumbing:
         assert obs.get_telemetry().snapshot()["spans"] == []
 
 
-class TestUnknownSections:
-    """Forward compatibility: unknown worker-snapshot sections survive.
-
-    A newer worker may ship sections this registry predates; dropping
-    them silently would lose telemetry on every version skew.  Unknown
-    dict sections merge by update, list sections extend, anything else
-    is last-write-wins — and all of them re-emit in the snapshot.
-    """
-
-    def test_unknown_dict_section_is_preserved(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot({"future_stats": {"widgets": 3}})
-        assert parent.snapshot()["future_stats"] == {"widgets": 3}
-
-    def test_unknown_dict_sections_merge_across_workers(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot({"future_stats": {"a": 1}})
-        parent.merge_snapshot({"future_stats": {"b": 2}})
-        assert parent.snapshot()["future_stats"] == {"a": 1, "b": 2}
-
-    def test_unknown_list_sections_extend(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot({"future_rows": [1, 2]})
-        parent.merge_snapshot({"future_rows": [3]})
-        assert parent.snapshot()["future_rows"] == [1, 2, 3]
-
-    def test_unknown_scalar_is_last_write_wins(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot({"future_flag": "a"})
-        parent.merge_snapshot({"future_flag": "b"})
-        assert parent.snapshot()["future_flag"] == "b"
-
-    def test_known_sections_never_route_through_extras(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot(child_snapshot(clock))
-        assert parent._extra_sections == {}
-
-    def test_unknown_sections_never_shadow_known_keys(self, clock):
-        # setdefault semantics: a section that *became* known between
-        # merge and snapshot must not be clobbered by the stale extra.
-        parent = Telemetry(clock=clock)
-        parent.merge_snapshot({"counters": {"exec.jobs": 1}})
-        parent.count("exec.jobs", 2)
-        assert parent.snapshot()["counters"]["exec.jobs"] == 3.0
-
-
 class TestWorkerResourceProfiles:
     def worker_profile(self, cpu=1.0, rss=1000.0):
         return {
@@ -258,23 +212,6 @@ class TestWorkerResourceProfiles:
         assert profile["schema"] == "repro.resource-profile/v1"
         assert profile["sample_count"] == 0
         assert profile["samples"] == []
-
-    def test_profile_gauges_derived_in_snapshot(self, clock):
-        parent = Telemetry(clock=clock)
-        parent.resource_profile = {
-            "schema": "repro.resource-profile/v1",
-            "hz": 10.0,
-            "sample_count": 3,
-            "dropped_samples": 0,
-            "samples": [],
-            "stages": {},
-            "totals": {"cpu_s": 1.5, "cpu_util": 0.5,
-                       "rss_peak_kib": 2048.0, "rss_mean_kib": 1024.0},
-        }
-        gauges = parent.snapshot()["gauges"]
-        assert gauges["resources.cpu_s"] == 1.5
-        assert gauges["resources.rss_peak_kib"] == 2048.0
-        assert gauges["resources.samples"] == 3.0
 
     def test_null_registry_ignores_worker_profiles(self, clock):
         registry = NullTelemetry()

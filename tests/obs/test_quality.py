@@ -24,7 +24,6 @@ class TestIngest:
         digest = QuantileDigest()
         assert digest.count == 0
         assert digest.quantile(0.5) == 0.0
-        assert digest.gauges("x") == {}
         data = digest.to_dict()
         assert data["count"] == 0
         assert data["min"] == 0.0
@@ -109,22 +108,6 @@ class TestMergeAndSerialisation:
         a.merge(QuantileDigest())
         assert a.to_dict() == before
 
-    def test_gauges_shape(self):
-        digest = QuantileDigest()
-        digest.observe_many([1.0, 2.0, 3.0])
-        gauges = digest.gauges("geo_error_km")
-        assert set(gauges) == {
-            "quality.geo_error_km.count",
-            "quality.geo_error_km.mean",
-            "quality.geo_error_km.min",
-            "quality.geo_error_km.max",
-            "quality.geo_error_km.p50",
-            "quality.geo_error_km.p90",
-            "quality.geo_error_km.p99",
-        }
-        assert gauges["quality.geo_error_km.count"] == 3.0
-
-
 class TestModuleHelper:
     def test_noop_when_disabled(self):
         assert obs.get_telemetry() is obs.NULL
@@ -137,7 +120,7 @@ class TestModuleHelper:
             observe("geo_error_km", [4.0])
         snapshot = telemetry.snapshot()
         assert snapshot["quality"]["geo_error_km"]["count"] == 4
-        assert snapshot["gauges"]["quality.geo_error_km.max"] == 4.0
+        assert snapshot["quality"]["geo_error_km"]["max"] == 4.0
 
     def test_worker_digests_merge_home(self):
         worker = obs.Telemetry()
@@ -149,16 +132,3 @@ class TestModuleHelper:
         assert merged["count"] == 3
         assert merged["min"] == 10.0
         assert merged["max"] == 30.0
-
-    def test_snapshot_gauges_override_stale_worker_gauges(self):
-        # A worker ships quality.* gauges inside its snapshot; the
-        # parent's snapshot must recompute them from the merged digest
-        # rather than max-merging stale values.
-        worker = obs.Telemetry()
-        worker.quality_observe("x", [100.0])
-        parent = obs.Telemetry()
-        parent.quality_observe("x", [1.0])
-        parent.merge_snapshot(worker.snapshot())
-        gauges = parent.snapshot()["gauges"]
-        assert gauges["quality.x.count"] == 2.0
-        assert gauges["quality.x.mean"] == pytest.approx(50.5)

@@ -22,7 +22,6 @@ from repro.obs.resources import (
     check_budget,
     default_cpu_reader,
     default_rss_reader,
-    profile_gauges,
     render_profile,
     validate_profile,
 )
@@ -269,32 +268,6 @@ class TestNullSampler:
     def test_null_sampler_is_slotted(self):
         with pytest.raises(AttributeError):
             NullSampler().stray = 1
-
-
-class TestGauges:
-    def test_profile_gauges_from_totals(self):
-        profile = {
-            "sample_count": 7,
-            "totals": {
-                "cpu_s": 1.5, "cpu_util": 0.75,
-                "rss_peak_kib": 4096.0, "rss_mean_kib": 2048.0,
-                "heap_peak_kib": 100.0,
-            },
-        }
-        gauges = profile_gauges(profile)
-        assert gauges == {
-            "resources.cpu_s": 1.5,
-            "resources.cpu_util": 0.75,
-            "resources.rss_peak_kib": 4096.0,
-            "resources.rss_mean_kib": 2048.0,
-            "resources.heap_peak_kib": 100.0,
-            "resources.samples": 7.0,
-        }
-
-    def test_missing_totals_yield_partial_gauges(self):
-        assert profile_gauges({"sample_count": 2, "totals": {}}) == {
-            "resources.samples": 2.0
-        }
 
 
 class TestValidation:

@@ -3,8 +3,8 @@
 PR 1 promised a perf trajectory under ``benchmarks/results/`` but only
 ``table1.json`` ever landed; this guard makes the promise structural:
 each ``benchmarks/bench_<name>.py`` has a ``results/<name>.json``
-timing record embedding a telemetry snapshot, and the run history
-archive carries an entry for every benchmark.
+timing record carrying its wall time and slowest span paths, and the
+run history archive carries an entry for every benchmark.
 """
 
 import json
@@ -22,8 +22,12 @@ HISTORY_PATH = RESULTS_DIR / "history.jsonl"
 #: Keys every timing record must carry (benchmarks/conftest.py writes them).
 REQUIRED_KEYS = frozenset(
     {"name", "test", "wall_time_s", "preset", "seed", "git_rev",
-     "timestamp", "telemetry"}
+     "timestamp", "top_spans"}
 )
+
+#: Whole-run documents a record no longer embeds: a trajectory reads
+#: the top spans and frames, not the snapshot or the resource profile.
+DROPPED_KEYS = frozenset({"telemetry", "resources"})
 
 
 def bench_names():
@@ -47,19 +51,15 @@ def test_timing_record_exists_and_is_well_formed(name):
     assert not missing, f"{record_path} lacks keys: {sorted(missing)}"
     assert record["name"] == name
     assert record["wall_time_s"] >= 0
-    snapshot = record["telemetry"]
-    assert set(snapshot) >= {"spans", "counters", "gauges"}
-    # Records written since the resource layer landed also embed the
-    # sampler's per-stage rollups; validate when present (committed
-    # records from earlier versions legitimately lack the key).
-    if "resources" in record:
-        from repro.obs.resources import validate_profile
-
-        rollups = record["resources"]
-        assert rollups["samples"] == []  # rollups only, bounded size
-        assert validate_profile(rollups) == [], record_path
-    # Likewise for the stack profiler's hottest frames (PR 10 onwards):
-    # a bounded ranked list, not a whole stack table.
+    assert not DROPPED_KEYS & set(record), record_path
+    spans = record["top_spans"]
+    assert isinstance(spans, list) and len(spans) <= 10
+    for entry in spans:
+        assert set(entry) == {"path", "count", "total_s"}
+    totals = [entry["total_s"] for entry in spans]
+    assert totals == sorted(totals, reverse=True)
+    # The stack profiler's hottest frames: a bounded ranked list, not a
+    # whole stack table (records written before the profiler lack it).
     if "frames" in record:
         frames = record["frames"]
         assert isinstance(frames, list) and len(frames) <= 10
@@ -82,6 +82,13 @@ def test_history_covers_every_benchmark():
     missing = set(bench_names()) - recorded
     assert not missing, f"history has no entry for: {sorted(missing)}"
     assert history.skipped_lines() == 0
+
+
+def test_history_payloads_are_compact_records():
+    history = RunHistory(HISTORY_PATH)
+    for entry in history.entries(kind=KIND_BENCHMARK):
+        assert "top_spans" in entry.payload, entry.name
+        assert not DROPPED_KEYS & set(entry.payload), entry.name
 
 
 def test_history_entries_carry_comparison_metadata():
